@@ -5,39 +5,35 @@ at index 0, up to relabeling that fixes 0; then, per additive table and per
 choice of the multiplicative identity, a backtracking fill of the
 multiplication table pruned cell-by-cell by associativity and
 distributivity.  Duplicates collapse under a canonical key, the
-lexicographically least relabeling fixing zero at 0 and one at 1.
+lexicographically least relabeling fixing zero at 0 and one at 1.  Both
+stages find their least relabelings with one search, `_least_relabeling`.
+
+A scan evaluates every clause of the theorem table once per semiring and
+reads both the theorem verdicts and the entry flags off those clauses.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .core import (
-    DomainError,
-    FiniteSemiring,
-    is_boolean,
-    is_commutative,
-    make_semiring,
-    reindex,
-    validate,
-)
+from .core import DomainError, FiniteSemiring, make_semiring, reindex
 from .fileformat import serialize_semiring
 from .ops import (
-    GEN_IDEMPOTENTS,
-    GEN_NILIDEMPOTENTS,
-    MODE_ADD,
-    MODE_MULT,
+    CONCL_BOOLEAN,
+    CONCL_COMMUTATIVE,
+    HYP_ADD_GEN_IDEM,
+    HYP_MULT_GEN_IDEM,
+    HYP_MULT_GEN_NILIDEM,
+    HYP_NIL_IN_V_AND_Z,
+    HYP_NIL_IN_Z,
+    HYP_NILORTH_COMPLEMENTS,
+    HYP_ORTH_COMPLEMENTS,
     THEOREM_IDS,
     VERDICT_VIOLATION,
-    check_theorem,
-    generation_certificate,
-    idempotent_without_nilorthogonal_complement,
-    idempotent_without_orthogonal_complement,
+    check_clause,
     invariant_vectors,
-    nilpotent_outside_center,
-    nilpotent_outside_v_and_z,
+    judge_theorem,
 )
 
 DEFAULT_MAX_ORDER = 4
@@ -62,17 +58,43 @@ class ScanReport:
     violations: tuple[dict, ...]
 
 
-def _flatten(S: FiniteSemiring, perm: list[int]) -> bytes:
-    inv = [0] * S.order
+def _flatten(tables, n: int, perm: list[int]) -> bytes:
+    inv = [0] * n
     for old, new in enumerate(perm):
         inv[new] = old
-    out = bytearray([S.order])
-    for table in (S.add, S.mul):
-        for i in range(S.order):
+    out = bytearray([n])
+    for table in tables:
+        for i in range(n):
             row = table[inv[i]]
-            for j in range(S.order):
+            for j in range(n):
                 out.append(perm[row[inv[j]]])
     return bytes(out)
+
+
+def _least_relabeling(tables, n: int, pinned: dict[int, int],
+                      blocks: list[list[int]]) -> tuple[bytes, list[int]]:
+    """Least flattened relabeling of tables over the bijections that keep
+    each pinned element at its given index and send the blocks, in order,
+    onto the consecutive indices after the pinned ones."""
+    base = [0] * n
+    for e, p in pinned.items():
+        base[e] = p
+    best_key: bytes | None = None
+    best_perm: list[int] | None = None
+    for arrangement in itertools.product(
+            *[itertools.permutations(b) for b in blocks]):
+        perm = list(base)
+        p = len(pinned)
+        for block in arrangement:
+            for e in block:
+                perm[e] = p
+                p += 1
+        key = _flatten(tables, n, perm)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_perm = perm
+    assert best_key is not None and best_perm is not None
+    return best_key, best_perm
 
 
 def _canonical_search(S: FiniteSemiring) -> tuple[bytes, list[int]]:
@@ -80,30 +102,12 @@ def _canonical_search(S: FiniteSemiring) -> tuple[bytes, list[int]]:
     pinned = {S.zero: 0}
     if S.one != S.zero:
         pinned[S.one] = 1
-    rest = [e for e in S.elements if e not in pinned]
     blocks: dict[tuple, list[int]] = {}
-    for e in rest:
-        blocks.setdefault(vecs[e], []).append(e)
-    block_list = [blocks[v] for v in sorted(blocks)]
-    base = [0] * S.order
-    for e, p in pinned.items():
-        base[e] = p
-    best_key: bytes | None = None
-    best_perm: list[int] | None = None
-    for arrangement in itertools.product(
-            *[itertools.permutations(b) for b in block_list]):
-        perm = list(base)
-        p = len(pinned)
-        for block in arrangement:
-            for e in block:
-                perm[e] = p
-                p += 1
-        key = _flatten(S, perm)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_perm = perm
-    assert best_key is not None and best_perm is not None
-    return best_key, best_perm
+    for e in S.elements:
+        if e not in pinned:
+            blocks.setdefault(vecs[e], []).append(e)
+    return _least_relabeling((S.add, S.mul), S.order, pinned,
+                             [blocks[v] for v in sorted(blocks)])
 
 
 def canonical_form(S: FiniteSemiring) -> bytes:
@@ -121,21 +125,6 @@ def canonical_relabel(S: FiniteSemiring) -> FiniteSemiring:
     """The canonical representative of S's isomorphism class."""
     _, perm = _canonical_search(S)
     return reindex(S, perm)
-
-
-def _monoid_canonical(table: tuple[tuple[int, ...], ...], n: int) -> bytes:
-    best = None
-    for perm_rest in itertools.permutations(range(1, n)):
-        perm = [0] + list(perm_rest)
-        inv = [0] * n
-        for old, new in enumerate(perm):
-            inv[new] = old
-        flat = bytes(perm[table[inv[i]][inv[j]]]
-                     for i in range(n) for j in range(n))
-        if best is None or flat < best:
-            best = flat
-    assert best is not None
-    return best
 
 
 def enumerate_commutative_monoids(n: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -166,7 +155,8 @@ def enumerate_commutative_monoids(n: int) -> list[tuple[tuple[int, ...], ...]]:
         if not ok:
             continue
         frozen = tuple(tuple(row) for row in table)
-        found.setdefault(_monoid_canonical(frozen, n), frozen)
+        key, _ = _least_relabeling((frozen,), n, {0: 0}, [list(range(1, n))])
+        found.setdefault(key, frozen)
     return [found[k] for k in sorted(found)]
 
 
@@ -230,8 +220,6 @@ def enumerate_semirings(order: int,
     for add in enumerate_commutative_monoids(order):
         for one in range(1, order):
             for mul in _complete_mul_tables(add, order, one):
-                if not validate(add, mul, 0, one).valid:
-                    continue
                 S = make_semiring(add, mul, 0, one, None)
                 key, perm = _canonical_search(S)
                 if key not in found:
@@ -242,44 +230,28 @@ def enumerate_semirings(order: int,
     return [found[k] for k in sorted(found)]
 
 
-SCAN_FLAGS = (
-    "boolean",
-    "commutative",
-    "mult-gen-idempotents",
-    "mult-gen-nilidempotents",
-    "add-gen-idempotents",
-    "orthogonal-complements",
-    "nilorthogonal-complements",
-    "nil-in-z",
-    "nil-in-vz",
-)
-
-
-def _entry_flags(S: FiniteSemiring) -> dict[str, bool]:
-    return {
-        "boolean": is_boolean(S),
-        "commutative": is_commutative(S),
-        "mult-gen-idempotents":
-            generation_certificate(S, MODE_MULT, GEN_IDEMPOTENTS).generated,
-        "mult-gen-nilidempotents":
-            generation_certificate(S, MODE_MULT, GEN_NILIDEMPOTENTS).generated,
-        "add-gen-idempotents":
-            generation_certificate(S, MODE_ADD, GEN_IDEMPOTENTS).generated,
-        "orthogonal-complements":
-            idempotent_without_orthogonal_complement(S) is None,
-        "nilorthogonal-complements":
-            idempotent_without_nilorthogonal_complement(S) is None,
-        "nil-in-z": nilpotent_outside_center(S) is None,
-        "nil-in-vz": nilpotent_outside_v_and_z(S) is None,
-    }
+# scan flag -> the theorem-table clause it reports
+_FLAG_CLAUSES = {
+    "boolean": CONCL_BOOLEAN,
+    "commutative": CONCL_COMMUTATIVE,
+    "mult-gen-idempotents": HYP_MULT_GEN_IDEM,
+    "mult-gen-nilidempotents": HYP_MULT_GEN_NILIDEM,
+    "add-gen-idempotents": HYP_ADD_GEN_IDEM,
+    "orthogonal-complements": HYP_ORTH_COMPLEMENTS,
+    "nilorthogonal-complements": HYP_NILORTH_COMPLEMENTS,
+    "nil-in-z": HYP_NIL_IN_Z,
+    "nil-in-vz": HYP_NIL_IN_V_AND_Z,
+}
+SCAN_FLAGS = tuple(_FLAG_CLAUSES)
 
 
 def _scan_entry(S: FiniteSemiring, theorem_ids) -> tuple[ScanEntry, list[dict]]:
     key = canonical_form(S).hex()
+    checks = {name: check_clause(S, name) for name in _FLAG_CLAUSES.values()}
     verdicts = {}
     violations = []
     for theorem in theorem_ids:
-        report = check_theorem(S, theorem)
+        report = judge_theorem(theorem, checks)
         verdicts[theorem] = report.verdict
         if report.verdict == VERDICT_VIOLATION:
             violations.append({
@@ -290,16 +262,17 @@ def _scan_entry(S: FiniteSemiring, theorem_ids) -> tuple[ScanEntry, list[dict]]:
                                        if not c.holds],
                 "semiring": serialize_semiring(S),
             })
-    entry = ScanEntry(order=S.order, key=key, flags=_entry_flags(S),
-                      verdicts=verdicts)
+    flags = {flag: checks[name].holds for flag, name in _FLAG_CLAUSES.items()}
+    entry = ScanEntry(order=S.order, key=key, flags=flags, verdicts=verdicts)
     return entry, violations
 
 
 def scan(orders, theorem_ids=THEOREM_IDS, include_trivial: bool = False,
-         workers: int = 1, max_order: int = DEFAULT_MAX_ORDER) -> ScanReport:
+         max_order: int = DEFAULT_MAX_ORDER) -> ScanReport:
     """Run the chosen theorems over every catalog semiring of the given
-    orders; results are merged in catalog order, so the report does not
-    depend on the worker count."""
+    orders.  Entries come in catalog order, and `violations` lists every
+    (semiring, theorem) pair whose hypotheses hold but whose conclusions
+    fail."""
     orders = tuple(orders)
     for theorem in theorem_ids:
         if theorem not in THEOREM_IDS:
@@ -313,19 +286,9 @@ def scan(orders, theorem_ids=THEOREM_IDS, include_trivial: bool = False,
         counts[order] = len(batch)
         catalog.extend(batch)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda S: _scan_entry(S, theorem_ids),
-                                    catalog))
-    else:
-        results = [_scan_entry(S, theorem_ids) for S in catalog]
-
+    results = [_scan_entry(S, theorem_ids) for S in catalog]
     entries = tuple(entry for entry, _ in results)
-    violations: list[dict] = []
-    for _, batch in results:
-        if batch:
-            violations.extend(batch)
-            break  # a refuted theorem aborts the scan
+    violations = [v for _, batch in results for v in batch]
     tallies: dict[str, dict[str, int]] = {}
     for theorem in theorem_ids:
         tally = {"confirmed": 0, "vacuous": 0, "VIOLATION": 0}

@@ -27,7 +27,6 @@ from .core import (
     validate,
 )
 from .fileformat import (
-    ParseError,
     parse_semiring_file,
     parse_semiring_tables,
     serialize_semiring,
@@ -97,7 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     p.add_argument("--theorem", choices=THEOREM_IDS + ("all",), default="all")
     p.add_argument("--include-trivial", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     p = sub.add_parser("build", parents=[common])
     p.add_argument("--out", help="write the document to this path")
     return parser
@@ -369,8 +367,7 @@ def _dispatch(args) -> tuple[str, dict, dict]:
     if args.command == "census":
         theorem_ids = THEOREM_IDS if args.theorem == "all" else (args.theorem,)
         report = scan(range(1, args.max_order + 1), theorem_ids,
-                      include_trivial=args.include_trivial,
-                      workers=args.workers)
+                      include_trivial=args.include_trivial)
         verdict = "violation" if report.violations else "ok"
         return verdict, {"files": [], "presets": [],
                          "max_order": args.max_order}, _scan_payload(report)
@@ -401,7 +398,7 @@ def run(argv) -> tuple[int, dict]:
     try:
         verdict, descriptor, payload = _dispatch(args)
         report = _report(args.command, descriptor, verdict, payload)
-    except (SemiringError, ParseError, OSError) as exc:
+    except (SemiringError, OSError) as exc:
         report = _report(args.command, {}, "error",
                          {"error": str(exc), "kind": type(exc).__name__})
         return 1, report

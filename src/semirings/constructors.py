@@ -209,14 +209,18 @@ def from_preset(name: str):
     if name == "nn-triple":
         return nn_triple_model()
     if name.startswith("zmod:"):
-        return zmod(int(name.split(":", 1)[1]))
+        try:
+            n = int(name.split(":", 1)[1])
+        except ValueError:
+            raise DomainError(f"malformed preset {name!r}") from None
+        return zmod(n)
     if name.startswith("product:"):
         parts = name.split(":", 1)[1].split(",")
         if len(parts) < 2:
             raise DomainError("product preset needs at least two components")
-        result = from_preset(parts[0])
+        result = _finite_preset(parts[0])
         for part in parts[1:]:
-            result = direct_product(result, from_preset(part))
+            result = direct_product(result, _finite_preset(part))
         return result
     if name.startswith(("matrix:", "triangular:")):
         kind, rest = name.split(":", 1)
@@ -225,10 +229,19 @@ def from_preset(name: str):
             n = int(dim)
         except ValueError:
             raise DomainError(f"malformed preset {name!r}") from None
-        base = from_preset(base_name)
+        base = _finite_preset(base_name)
         builder = matrix_semiring if kind == "matrix" else triangular_semiring
         return builder(base, n)
     raise DomainError(f"unknown preset {name!r}")
+
+
+def _finite_preset(name: str) -> FiniteSemiring:
+    """A component of a composite preset, which must be finite."""
+    S = from_preset(name)
+    if not isinstance(S, FiniteSemiring):
+        raise DomainError(f"preset {name!r} is symbolic; composite presets "
+                          "need finite components")
+    return S
 
 
 PRESET_NAMES = ("bool", "zmod:n", "t2b", "m2z2", "z2x-sq", "z3x-sqm1",

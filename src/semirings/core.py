@@ -174,6 +174,10 @@ class FiniteSemiring:
     def _label_index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
+    @cached_property
+    def _class_report(self) -> ClassReport:
+        return _classify(self)
+
     def index_of(self, label: str) -> int:
         try:
             return self._label_index[label]
@@ -361,7 +365,14 @@ def power(S: FiniteSemiring, a: int, k: int) -> int:
 
 
 def element_classes(S: FiniteSemiring) -> ClassReport:
-    """Classify every element by exhaustive testing."""
+    """Classify every element by exhaustive testing.
+
+    The report is computed once per semiring and shared by every caller.
+    """
+    return S._class_report
+
+
+def _classify(S: FiniteSemiring) -> ClassReport:
     idem = [e for e in S.elements if S.times(e, e) == e]
     nil_index: dict[int, int] = {}
     for a in S.elements:

@@ -9,10 +9,10 @@ like "[1 1;0 0]" survive the round trip.
 
 from __future__ import annotations
 
-from .core import FiniteSemiring, InvalidSemiringError, make_semiring
+from .core import FiniteSemiring, InvalidSemiringError, SemiringError, make_semiring
 
 
-class ParseError(Exception):
+class ParseError(SemiringError):
     def __init__(self, line: int, col: int, message: str):
         self.line = line
         self.col = col

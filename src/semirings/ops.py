@@ -42,7 +42,19 @@ HYP_NIL_IN_Z = "Nil ⊆ Z"
 CONCL_COMMUTATIVE = "commutative"
 CONCL_BOOLEAN = "Boolean"
 
-THEOREM_IDS = ("main", "main2", "mainnilid", "additivecom")
+# theorem id -> (hypothesis clause names, conclusion clause names)
+THEOREMS = {
+    "main": ((HYP_MULT_GEN_IDEM, HYP_ORTH_COMPLEMENTS),
+             (CONCL_COMMUTATIVE, CONCL_BOOLEAN)),
+    "main2": ((HYP_MULT_GEN_IDEM, HYP_NILORTH_COMPLEMENTS, HYP_NIL_IN_V_AND_Z),
+              (CONCL_COMMUTATIVE, CONCL_BOOLEAN)),
+    "mainnilid": ((HYP_MULT_GEN_NILIDEM, HYP_NILORTH_COMPLEMENTS,
+                   HYP_NIL_IN_V_AND_Z),
+                  (CONCL_COMMUTATIVE,)),
+    "additivecom": ((HYP_ADD_GEN_IDEM, HYP_ORTH_COMPLEMENTS, HYP_NIL_IN_Z),
+                    (CONCL_COMMUTATIVE,)),
+}
+THEOREM_IDS = tuple(THEOREMS)
 
 VERDICT_CONFIRMED = "confirmed"
 VERDICT_VACUOUS = "vacuous"
@@ -100,23 +112,38 @@ class TheoremReport:
     verdict: str
 
 
+def _words(op, gens) -> dict[int, tuple[int, ...]]:
+    """Breadth-first search over right-extension by a generator, keeping
+    one shortest word per element reached.
+
+    Every length-k word is a length-(k-1) word extended by one generator,
+    so the first word found for an element is a shortest one.  The reach
+    is the closure of gens under op whenever op is associative.
+    """
+    words: dict[int, tuple[int, ...]] = {}
+    queue: list[int] = []
+    for g in gens:
+        if g not in words:
+            words[g] = (g,)
+            queue.append(g)
+    head = 0
+    while head < len(queue):
+        e = queue[head]
+        head += 1
+        for g in gens:
+            c = op(e, g)
+            if c not in words:
+                words[c] = words[e] + (g,)
+                queue.append(c)
+    return words
+
+
 def _closure(S: FiniteSemiring, G: ElementSet, op) -> ElementSet:
     if G.carrier_order != S.order:
         raise DomainError("generator set indexes a different carrier")
     if not G:
         raise DomainError("closure of the empty set is undefined here")
-    members = set(G)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(members)
-        for a in snapshot:
-            for b in snapshot:
-                c = op(a, b)
-                if c not in members:
-                    members.add(c)
-                    changed = True
-    return ElementSet.of(members, S.order)
+    return ElementSet.of(_words(op, list(G)), S.order)
 
 
 def mult_closure(S: FiniteSemiring, G: ElementSet) -> ElementSet:
@@ -129,9 +156,8 @@ def add_closure(S: FiniteSemiring, G: ElementSet) -> ElementSet:
     return _closure(S, G, S.plus)
 
 
-def _generator_set(S: FiniteSemiring, generator_class: str,
-                   classes: ClassReport | None = None) -> ElementSet:
-    classes = classes or element_classes(S)
+def _generator_set(S: FiniteSemiring, generator_class: str) -> ElementSet:
+    classes = element_classes(S)
     if generator_class == GEN_IDEMPOTENTS:
         return classes.idempotents
     if generator_class == GEN_NILIDEMPOTENTS:
@@ -144,9 +170,7 @@ def generation_certificate(S: FiniteSemiring, mode: str,
     """Breadth-first closure keeping one shortest expression per element.
 
     Expressions are sequences of generators whose ordered product (additive
-    mode: sum) re-evaluates to the element; BFS over right-extension finds
-    shortest ones because every length-k word is a length-(k-1) word
-    extended by one generator.
+    mode: sum) re-evaluates to the element.
     """
     if mode == MODE_MULT:
         op = S.times
@@ -154,22 +178,7 @@ def generation_certificate(S: FiniteSemiring, mode: str,
         op = S.plus
     else:
         raise DomainError(f"unknown generation mode {mode!r}")
-    gens = sorted(_generator_set(S, generator_class))
-    expressions: dict[int, tuple[int, ...]] = {}
-    queue: list[int] = []
-    for g in gens:
-        if g not in expressions:
-            expressions[g] = (g,)
-            queue.append(g)
-    head = 0
-    while head < len(queue):
-        e = queue[head]
-        head += 1
-        for g in gens:
-            c = op(e, g)
-            if c not in expressions:
-                expressions[c] = expressions[e] + (g,)
-                queue.append(c)
+    expressions = _words(op, list(_generator_set(S, generator_class)))
     covered = ElementSet.of(expressions, S.order)
     uncovered = covered.complement()
     return GenerationCertificate(mode=mode, generator_class=generator_class,
@@ -192,7 +201,8 @@ def orthogonal_complement(S: FiniteSemiring, e: int) -> ComplementWitness | None
     return None
 
 
-def _nilorth_candidates(S: FiniteSemiring, e: int, classes: ClassReport):
+def _nilorth_candidates(S: FiniteSemiring, e: int):
+    classes = element_classes(S)
     for f in S.elements:
         if f not in classes.nilidempotents:
             continue
@@ -210,17 +220,13 @@ def nilorthogonal_complement(S: FiniteSemiring, e: int) -> ComplementWitness | N
     """First (f, x) in lexicographic index order with f nilidempotent,
     x nilpotent, e + f = 1 + x, and ef, fe both nilpotent."""
     _require_idempotent(S, e)
-    classes = element_classes(S)
-    for witness in _nilorth_candidates(S, e, classes):
-        return witness
-    return None
+    return next(_nilorth_candidates(S, e), None)
 
 
 def nilorthogonal_complements(S: FiniteSemiring, e: int) -> list[ComplementWitness]:
     """All valid (f, x) witnesses, in lexicographic index order."""
     _require_idempotent(S, e)
-    classes = element_classes(S)
-    return list(_nilorth_candidates(S, e, classes))
+    return list(_nilorth_candidates(S, e))
 
 
 def orthogonal_decompositions(S: FiniteSemiring, b: int,
@@ -531,18 +537,6 @@ def isomorphic(S: FiniteSemiring, T: FiniteSemiring) -> tuple[int, ...] | None:
     return tuple(mapping)
 
 
-def _first_uncovered(cert: GenerationCertificate) -> tuple[int, ...] | None:
-    if cert.generated:
-        return None
-    return (min(cert.uncovered),)
-
-
-def check_generation(S: FiniteSemiring, mode: str,
-                     generator_class: str) -> tuple[bool, tuple[int, ...] | None]:
-    cert = generation_certificate(S, mode, generator_class)
-    return cert.generated, _first_uncovered(cert)
-
-
 def idempotent_without_orthogonal_complement(S: FiniteSemiring) -> int | None:
     for e in S.elements:
         if S.times(e, e) == e and orthogonal_complement(S, e) is None:
@@ -551,11 +545,8 @@ def idempotent_without_orthogonal_complement(S: FiniteSemiring) -> int | None:
 
 
 def idempotent_without_nilorthogonal_complement(S: FiniteSemiring) -> int | None:
-    classes = element_classes(S)
     for e in S.elements:
-        if S.times(e, e) != e:
-            continue
-        if next(iter(_nilorth_candidates(S, e, classes)), None) is None:
+        if S.times(e, e) == e and next(_nilorth_candidates(S, e), None) is None:
             return e
     return None
 
@@ -576,72 +567,66 @@ def nilpotent_outside_v_and_z(S: FiniteSemiring) -> int | None:
     return None
 
 
-def _hyp_checks(S: FiniteSemiring, theorem: str) -> list[ClauseCheck]:
-    def gen(name, mode, gclass):
-        ok, witness = check_generation(S, mode, gclass)
-        return ClauseCheck(name, ok, witness)
-
-    def complement(name, finder):
-        e = finder(S)
-        return ClauseCheck(name, e is None, None if e is None else (e,))
-
-    def nil_condition(name, finder):
-        x = finder(S)
-        return ClauseCheck(name, x is None, None if x is None else (x,))
-
-    if theorem == "main":
-        return [
-            gen(HYP_MULT_GEN_IDEM, MODE_MULT, GEN_IDEMPOTENTS),
-            complement(HYP_ORTH_COMPLEMENTS,
-                       idempotent_without_orthogonal_complement),
-        ]
-    if theorem == "main2":
-        return [
-            gen(HYP_MULT_GEN_IDEM, MODE_MULT, GEN_IDEMPOTENTS),
-            complement(HYP_NILORTH_COMPLEMENTS,
-                       idempotent_without_nilorthogonal_complement),
-            nil_condition(HYP_NIL_IN_V_AND_Z, nilpotent_outside_v_and_z),
-        ]
-    if theorem == "mainnilid":
-        return [
-            gen(HYP_MULT_GEN_NILIDEM, MODE_MULT, GEN_NILIDEMPOTENTS),
-            complement(HYP_NILORTH_COMPLEMENTS,
-                       idempotent_without_nilorthogonal_complement),
-            nil_condition(HYP_NIL_IN_V_AND_Z, nilpotent_outside_v_and_z),
-        ]
-    if theorem == "additivecom":
-        return [
-            gen(HYP_ADD_GEN_IDEM, MODE_ADD, GEN_IDEMPOTENTS),
-            complement(HYP_ORTH_COMPLEMENTS,
-                       idempotent_without_orthogonal_complement),
-            nil_condition(HYP_NIL_IN_Z, nilpotent_outside_center),
-        ]
-    raise DomainError(f"unknown theorem id {theorem!r}")
+def _ungenerated(S: FiniteSemiring, mode: str, generator_class: str) -> int | None:
+    cert = generation_certificate(S, mode, generator_class)
+    return None if cert.generated else min(cert.uncovered)
 
 
-def _conclusion_checks(S: FiniteSemiring, theorem: str) -> list[ClauseCheck]:
-    pair = noncommuting_pair(S)
-    conclusions = [ClauseCheck(CONCL_COMMUTATIVE, pair is None, pair)]
-    if theorem in ("main", "main2"):
-        a = non_idempotent_element(S)
-        conclusions.append(
-            ClauseCheck(CONCL_BOOLEAN, a is None, None if a is None else (a,)))
-    return conclusions
+# clause name -> finder of a counterexample (an element, a pair, or None
+# when the clause holds).  Finders are looked up at call time so that
+# replacing one on this module replaces it everywhere.
+_CLAUSE_FINDERS = {
+    HYP_MULT_GEN_IDEM: lambda S: _ungenerated(S, MODE_MULT, GEN_IDEMPOTENTS),
+    HYP_MULT_GEN_NILIDEM:
+        lambda S: _ungenerated(S, MODE_MULT, GEN_NILIDEMPOTENTS),
+    HYP_ADD_GEN_IDEM: lambda S: _ungenerated(S, MODE_ADD, GEN_IDEMPOTENTS),
+    HYP_ORTH_COMPLEMENTS:
+        lambda S: idempotent_without_orthogonal_complement(S),
+    HYP_NILORTH_COMPLEMENTS:
+        lambda S: idempotent_without_nilorthogonal_complement(S),
+    HYP_NIL_IN_V_AND_Z: lambda S: nilpotent_outside_v_and_z(S),
+    HYP_NIL_IN_Z: lambda S: nilpotent_outside_center(S),
+    CONCL_COMMUTATIVE: lambda S: noncommuting_pair(S),
+    CONCL_BOOLEAN: lambda S: non_idempotent_element(S),
+}
 
 
-def check_theorem(S: FiniteSemiring, theorem: str) -> TheoremReport:
-    """Evaluate one theorem's hypotheses and conclusions on S.
+def check_clause(S: FiniteSemiring, name: str) -> ClauseCheck:
+    """Evaluate one clause of the theorem table on S."""
+    witness = _CLAUSE_FINDERS[name](S)
+    if isinstance(witness, int):
+        witness = (witness,)
+    return ClauseCheck(name, witness is None, witness)
+
+
+def _theorem_clauses(theorem: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    try:
+        return THEOREMS[theorem]
+    except KeyError:
+        raise DomainError(f"unknown theorem id {theorem!r}") from None
+
+
+def judge_theorem(theorem: str, checks: dict[str, ClauseCheck]) -> TheoremReport:
+    """One theorem's report from already evaluated clauses, keyed by name.
 
     confirmed: everything holds.  vacuous: some hypothesis fails.
     VIOLATION: hypotheses hold but a conclusion fails, which would refute
-    the statement being tested and must abort any suite loudly.
+    the statement being tested.
     """
-    hypotheses = _hyp_checks(S, theorem)
-    conclusions = _conclusion_checks(S, theorem)
+    hyp_names, concl_names = _theorem_clauses(theorem)
+    hypotheses = tuple(checks[name] for name in hyp_names)
+    conclusions = tuple(checks[name] for name in concl_names)
     if all(h.holds for h in hypotheses):
         verdict = VERDICT_CONFIRMED if all(c.holds for c in conclusions) \
             else VERDICT_VIOLATION
     else:
         verdict = VERDICT_VACUOUS
-    return TheoremReport(theorem=theorem, hypotheses=tuple(hypotheses),
-                         conclusions=tuple(conclusions), verdict=verdict)
+    return TheoremReport(theorem=theorem, hypotheses=hypotheses,
+                         conclusions=conclusions, verdict=verdict)
+
+
+def check_theorem(S: FiniteSemiring, theorem: str) -> TheoremReport:
+    """Evaluate one theorem's hypotheses and conclusions on S."""
+    hyp_names, concl_names = _theorem_clauses(theorem)
+    return judge_theorem(theorem, {name: check_clause(S, name)
+                                   for name in hyp_names + concl_names})

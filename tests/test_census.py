@@ -9,6 +9,9 @@ from semirings import (
     canonical_relabel,
     direct_product,
     enumerate_semirings,
+    generation_certificate,
+    is_boolean,
+    is_commutative,
     isomorphic,
     poly_quotient,
     reindex,
@@ -16,8 +19,22 @@ from semirings import (
     validate,
     zmod,
 )
-from semirings.census import enumerate_commutative_monoids
-from semirings.ops import THEOREM_IDS, VERDICT_CONFIRMED
+from semirings.cli import run
+from semirings.census import SCAN_FLAGS, enumerate_commutative_monoids
+from semirings.ops import (
+    GEN_IDEMPOTENTS,
+    GEN_NILIDEMPOTENTS,
+    MODE_ADD,
+    MODE_MULT,
+    THEOREM_IDS,
+    VERDICT_CONFIRMED,
+    VERDICT_VIOLATION,
+    check_theorem,
+    idempotent_without_nilorthogonal_complement,
+    idempotent_without_orthogonal_complement,
+    nilpotent_outside_center,
+    nilpotent_outside_v_and_z,
+)
 
 from oracles import brute_force_semiring_keys, fixture_semirings
 
@@ -163,10 +180,56 @@ def test_scan_orders_two_to_four_has_no_violations():
         assert tally["confirmed"] + tally["vacuous"] == total
 
 
-def test_scan_is_deterministic_across_workers():
-    solo = scan([2, 3], workers=1)
-    pooled = scan([2, 3], workers=4)
-    assert solo == pooled
+def test_scan_flags_match_the_public_predicates():
+    report = scan([2, 3, 4])
+    catalog = [S for order in (2, 3, 4) for S in enumerate_semirings(order)]
+    assert len(catalog) == len(report.entries)
+    for S, entry in zip(catalog, report.entries):
+        assert entry.key == canonical_form(S).hex()
+        expected = {
+            "boolean": is_boolean(S),
+            "commutative": is_commutative(S),
+            "mult-gen-idempotents":
+                generation_certificate(S, MODE_MULT, GEN_IDEMPOTENTS).generated,
+            "mult-gen-nilidempotents":
+                generation_certificate(S, MODE_MULT,
+                                       GEN_NILIDEMPOTENTS).generated,
+            "add-gen-idempotents":
+                generation_certificate(S, MODE_ADD, GEN_IDEMPOTENTS).generated,
+            "orthogonal-complements":
+                idempotent_without_orthogonal_complement(S) is None,
+            "nilorthogonal-complements":
+                idempotent_without_nilorthogonal_complement(S) is None,
+            "nil-in-z": nilpotent_outside_center(S) is None,
+            "nil-in-vz": nilpotent_outside_v_and_z(S) is None,
+        }
+        assert tuple(entry.flags) == SCAN_FLAGS
+        assert entry.flags == expected
+        for theorem in THEOREM_IDS:
+            assert entry.verdicts[theorem] == check_theorem(S, theorem).verdict
+
+
+def test_scan_lists_every_violation(monkeypatch):
+    import semirings.ops as ops
+
+    monkeypatch.setattr(ops, "noncommuting_pair", lambda S: (S.zero, S.one))
+    report = scan([2, 3])
+    expected = [(entry.key, theorem)
+                for entry in report.entries for theorem in THEOREM_IDS
+                if entry.verdicts[theorem] == VERDICT_VIOLATION]
+    hypotheses_hold = [
+        (canonical_form(S).hex(), theorem)
+        for order in (2, 3) for S in enumerate_semirings(order)
+        for theorem in THEOREM_IDS
+        if all(h.holds for h in check_theorem(S, theorem).hypotheses)]
+    assert expected == hypotheses_hold
+    assert [(v["key"], v["theorem"]) for v in report.violations] == expected
+    assert len({key for key, _ in expected}) > 1
+    for v in report.violations:
+        assert v["failed_conclusions"][0] == "commutative"
+    code, cli_report = run(["census", "--max-order", "3"])
+    assert code == 2 and cli_report["verdict"] == "violation"
+    assert len(cli_report["result"]["violations"]) == len(expected)
 
 
 def test_scan_rejects_unknown_theorem():

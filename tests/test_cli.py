@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from semirings import (
+    SemiringError,
     boolean_semiring,
     from_preset,
     parse_semiring_file,
@@ -52,6 +54,7 @@ def test_missing_table_row_is_positioned():
     with pytest.raises(ParseError) as err:
         parse_semiring_file(text)
     assert err.value.line == 9
+    assert isinstance(err.value, SemiringError)
 
 
 def test_unknown_label_is_positioned():
@@ -223,8 +226,18 @@ def test_build_to_stdout_is_parseable(capsys):
     assert parse_semiring_file(document) == from_preset("z2x-sq")
 
 
-def test_unknown_preset_is_a_usage_error():
-    code, report = run(["classify", "--preset", "nope"])
+@pytest.mark.parametrize("argv", [
+    ["classify", "--preset", "nope"],
+    ["classify", "--preset", "zmod:abc"],
+    ["classify", "--preset", "product:zmod:x,bool"],
+    ["classify", "--preset", "triangular:nat,2"],
+    ["classify", "--preset", "matrix:nn-triple,2"],
+    ["classify", "--preset", "product:nat,bool"],
+    ["census", "--workers", "2"],
+], ids=["unknown", "zmod-abc", "product-zmod-x", "triangular-nat",
+        "matrix-nn-triple", "product-nat", "census-workers"])
+def test_unknown_preset_is_a_usage_error(argv):
+    code, report = run(argv)
     assert code == 1 and report["verdict"] == "error"
 
 
@@ -275,6 +288,17 @@ def test_text_report_mentions_verdict(capsys):
     assert main(["check", "--preset", "bool", "--theorem", "main"]) == 0
     out = capsys.readouterr().out
     assert "verdict: confirmed" in out
+
+
+def test_census_result_is_pinned():
+    # The JSON result block is a byte-stable contract: a change to this
+    # digest must come with a SCHEMA_VERSION bump.
+    code, report = run(["census", "--max-order", "4", "--json"])
+    assert code == 0
+    digest = hashlib.sha256(
+        json.dumps(report["result"], sort_keys=True).encode()).hexdigest()
+    assert digest == \
+        "832495ad079577c6ea35ce823ff69aeaf8a303f2bfe26f13d4d4d188a72087d1"
 
 
 def test_census_json_violations_key_present_when_empty():

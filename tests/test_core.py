@@ -85,6 +85,10 @@ def test_make_semiring_rejects_duplicate_labels():
 
 # ---------------------------------------------------------- element classes
 
+def test_classes_are_computed_once(t2b):
+    assert element_classes(t2b) is element_classes(t2b)
+
+
 def test_classes_triangular_bool(t2b):
     classes = element_classes(t2b)
     assert len(classes.idempotents) == 7
