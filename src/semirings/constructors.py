@@ -13,6 +13,13 @@ from .core import (
 DEFAULT_MAX_ELEMENTS = 4096
 
 
+def _check_size(count: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> None:
+    """Refuse a carrier over the cap before any table is built."""
+    if count > max_elements:
+        raise DomainError(
+            f"{count} elements exceeds the size cap {max_elements}")
+
+
 def boolean_semiring() -> FiniteSemiring:
     """The two-element semiring {0, 1} with 1 + 1 = 1."""
     return make_semiring(((0, 1), (1, 1)), ((0, 0), (0, 1)), 0, 1, ("0", "1"))
@@ -22,6 +29,7 @@ def zmod(n: int) -> FiniteSemiring:
     """Integers mod n; zmod(1) is the trivial semiring."""
     if n < 1:
         raise DomainError("modulus must be at least 1")
+    _check_size(n)
     add = [[(i + j) % n for j in range(n)] for i in range(n)]
     mul = [[(i * j) % n for j in range(n)] for i in range(n)]
     return make_semiring(add, mul, 0, 1 % n, tuple(str(i) for i in range(n)))
@@ -66,6 +74,7 @@ def poly_quotient(base: FiniteSemiring, modulus: list[int]) -> FiniteSemiring:
         raise DomainError("modulus must be monic")
 
     count = n ** d
+    _check_size(count)
 
     def decode(e: int) -> tuple[int, ...]:
         return tuple((e // n ** i) % n for i in range(d))
@@ -103,9 +112,7 @@ def poly_quotient(base: FiniteSemiring, modulus: list[int]) -> FiniteSemiring:
 
 def _matrix_universe(S: FiniteSemiring, n: int, positions, max_elements: int):
     count = S.order ** len(positions)
-    if count > max_elements:
-        raise DomainError(
-            f"{count} elements exceeds the size cap {max_elements}")
+    _check_size(count, max_elements)
 
     def decode(e: int):
         mat = [[S.zero] * n for _ in range(n)]
@@ -163,6 +170,7 @@ def triangular_semiring(S: FiniteSemiring, n: int,
 
 def direct_product(S: FiniteSemiring, T: FiniteSemiring) -> FiniteSemiring:
     """Componentwise operations on pairs, labelled "(s,t)"."""
+    _check_size(S.order * T.order)
     pairs = [(a, b) for b in T.elements for a in S.elements]
     index = {p: e for e, p in enumerate(pairs)}
     add = [[index[(S.plus(a, c), T.plus(b, d))] for (c, d) in pairs]

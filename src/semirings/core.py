@@ -9,8 +9,10 @@ over immutable tables.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 
@@ -228,13 +230,110 @@ def _check_structure(add, mul, zero: int, one: int) -> int:
     return n
 
 
+# Below this order the plain sweep is cheaper than finding generators.
+_SWEEP_BELOW = 8
+
+
 def validate(add, mul, zero: int, one: int) -> AxiomReport:
     """Check every semiring axiom, listing all violated instances.
+
+    From order 8 on, a fast path checks the identity, annihilation and
+    additive commutativity laws in full, and the associative and
+    distributive laws only at the elements of a generating set, in
+    O(n^2 |G|) steps instead of O(n^3); that is a proof that the tables are
+    a semiring, not a sample (see `_generated_laws_hold`).  If any of its
+    checks fails, and always on smaller carriers, the full O(n^3) sweep
+    runs, so an invalid table's report still lists every violated instance
+    in sweep order.  Either way the report is the same.
 
     Structural problems (non-square tables, out-of-range entries) raise
     MalformedTableError instead of being reported as axiom violations.
     """
     n = _check_structure(add, mul, zero, one)
+    if n >= _SWEEP_BELOW and _generated_laws_hold(add, mul, zero, one, n):
+        return AxiomReport(valid=True, violations=())
+    bad = _sweep(add, mul, zero, one, n)
+    return AxiomReport(valid=not bad, violations=tuple(bad))
+
+
+def _generators(table, seeds: Iterable[int], n: int) -> list[int]:
+    """A generating set of (carrier, table), found greedily.
+
+    Takes the seeds, then the least element not yet reached, until every
+    element is reached: is a generator or a reached element times a
+    generator on the right.
+    """
+    gens: list[int] = []
+    found: list[int] = []
+    reached = [False] * n
+    for g in (*seeds, *range(n)):
+        if len(found) == n:
+            break
+        if reached[g]:
+            continue
+        i = len(found)
+        for v in [g] + [table[r][g] for r in found]:
+            if not reached[v]:
+                reached[v] = True
+                found.append(v)
+        gens.append(g)
+        while i < len(found):
+            row = table[found[i]]
+            for h in gens:
+                v = row[h]
+                if not reached[v]:
+                    reached[v] = True
+                    found.append(v)
+            i += 1
+    return gens
+
+
+def _generated_laws_hold(add, mul, zero: int, one: int, n: int) -> bool:
+    """True only if the tables form a semiring; False means "sweep".
+
+    Call g good for a law if it holds at g for all x, y.  Good sets are
+    closed under the operation (Light's test): if g, h are good for
+    (xg)y = x(gy), then (x(gh))y = ((xg)h)y = (xg)(hy) = x(g(hy)) = x((gh)y),
+    and likewise for +.  Given associativity, g, h good for g(x+y) = gx+gy
+    give (gh)(x+y) = g(hx+hy) = (gh)x+(gh)y, and the same on the right.  A
+    closed set holding a generating set is the whole carrier.
+    """
+    add_zero, mul_zero, mul_one = add[zero], mul[zero], mul[one]
+    for a in range(n):
+        if (add_zero[a] != a or add[a][zero] != a or mul_one[a] != a
+                or mul[a][one] != a or mul_zero[a] != zero or mul[a][zero] != zero):
+            return False
+    for a in range(n):
+        row = add[a]
+        if any(row[b] != add[b][a] for b in range(a)):
+            return False
+    for g in _generators(add, (zero,), n):
+        # (x+g)+y = x+(g+y), as rows over y
+        plus_g = itemgetter(*add[g])
+        if any(tuple(add[ax[g]]) != plus_g(ax) for ax in add):
+            return False
+    gens = _generators(mul, (zero, one), n)
+    for g in gens:
+        # (xg)y = x(gy), as rows over y
+        times_g = itemgetter(*mul[g])
+        if any(tuple(mul[mx[g]]) != times_g(mx) for mx in mul):
+            return False
+    sides = []
+    for g in gens:
+        left, right = mul[g], tuple(map(itemgetter(g), mul))
+        sides.append((left, itemgetter(*left), right, itemgetter(*right)))
+    for x, ax in enumerate(add):
+        plus_x = itemgetter(*ax)
+        for left, at_left, right, at_right in sides:
+            # g(x+y) = gx+gy and (x+y)g = xg+yg, as rows over y
+            if (plus_x(left) != at_left(add[left[x]])
+                    or plus_x(right) != at_right(add[right[x]])):
+                return False
+    return True
+
+
+def _sweep(add, mul, zero: int, one: int, n: int) -> list[AxiomViolation]:
+    """Every violated axiom instance, by direct O(n^3) loops."""
     rng = range(n)
     bad: list[AxiomViolation] = []
 
@@ -252,22 +351,76 @@ def validate(add, mul, zero: int, one: int) -> AxiomReport:
             if add[a][b] != add[b][a]:
                 bad.append(AxiomViolation("add-commutativity", (a, b, 0)))
     for a in rng:
+        adda, mula = add[a], mul[a]
         for b in rng:
+            addb, mulb = add[b], mul[b]
+            # rows for (a+b)+c, (ab)c, ab+ac and (a+b)c
+            add_ab, mul_ab = add[adda[b]], mul[mula[b]]
+            add_mab, mul_aab = add[mula[b]], mul[adda[b]]
             for c in rng:
-                if add[add[a][b]][c] != add[a][add[b][c]]:
+                if add_ab[c] != adda[addb[c]]:
                     bad.append(AxiomViolation("add-associativity", (a, b, c)))
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                if mul_ab[c] != mula[mulb[c]]:
                     bad.append(AxiomViolation("mul-associativity", (a, b, c)))
-                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+                if mula[addb[c]] != add_mab[mula[c]]:
                     bad.append(AxiomViolation("left-distributivity", (a, b, c)))
-                if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]:
+                if mul_aab[c] != add[mula[c]][mulb[c]]:
                     bad.append(AxiomViolation("right-distributivity", (a, b, c)))
-    return AxiomReport(valid=not bad, violations=tuple(bad))
+    return bad
+
+
+_CLOSERS = {"(": ")", "[": "]"}
+# The characters that can end a token or change its bracket depth, outside
+# and inside a bracket group.
+_TOKEN_STOP = (re.compile(r"[\s()\[\]]"), re.compile(r"[()\[\]]"))
+
+
+def token_end(text: str, start: int) -> int:
+    """End of the file-format token that starts at text[start].
+
+    A token is a maximal run of non-space characters, in which a bracket
+    group, (...) or [...], may also hold spaces.  Raises ValueError, with
+    the position of the offending bracket as its argument, at a closing
+    bracket that does not match or an opening one that is never closed.
+    """
+    pending: list[int] = []  # positions of the open brackets
+    i = start
+    while m := _TOKEN_STOP[bool(pending)].search(text, i):
+        i = m.start()
+        ch = text[i]
+        if ch in _CLOSERS:
+            pending.append(i)
+        elif ch in ")]":
+            if not pending or _CLOSERS[text[pending.pop()]] != ch:
+                raise ValueError(i)
+        else:
+            return i  # whitespace outside every group
+        i += 1
+    if pending:
+        raise ValueError(pending[-1])
+    return len(text)
+
+
+def _is_plain_label(label) -> bool:
+    """A label survives the file format: it is one token, on one line, and
+    cannot start a comment line."""
+    if (not isinstance(label, str) or label.splitlines() != [label]
+            or label.startswith("#")):
+        return False
+    try:
+        return token_end(label, 0) == len(label)
+    except ValueError:
+        return False
 
 
 def make_semiring(add, mul, zero: int, one: int,
                   labels: Iterable[str] | None = None) -> FiniteSemiring:
-    """Validate tables and build a FiniteSemiring, or raise."""
+    """Validate tables and build a FiniteSemiring, or raise.
+
+    Labels must be distinct and must round-trip through the file format:
+    non-empty, no whitespace outside brackets, balanced brackets, no line
+    break, no leading '#'.
+    """
     report = validate(add, mul, zero, one)
     if not report.valid:
         raise InvalidSemiringError(report)
@@ -280,6 +433,10 @@ def make_semiring(add, mul, zero: int, one: int,
         raise MalformedTableError(f"{len(labels)} labels for order {n}")
     if len(set(labels)) != n:
         raise MalformedTableError("labels must be pairwise distinct")
+    for lab in labels:
+        if not _is_plain_label(lab):
+            raise MalformedTableError(
+                f"label {lab!r} does not survive the file format")
     return FiniteSemiring(order=n, add=_tables_as_tuples(add),
                           mul=_tables_as_tuples(mul),
                           zero=zero, one=one, labels=labels)

@@ -2,14 +2,25 @@
 
 Layout: full-line comments starting with '#'; `order N`; `elements` plus N
 labels on the same line; `zero LABEL`; `one LABEL`; `add` and `mul`, each
-followed by N rows of N labels.  Tokens are whitespace-separated, except
-that a token opening with '[' runs to its matching ']' so matrix labels
-like "[1 1;0 0]" survive the round trip.
+followed by N rows of N labels.  A token is a maximal run of non-space
+characters, in which a bracket group, (...) or [...], may also hold
+spaces, so labels like "[1 1;0 0]" and "(1+x)*x" survive the round trip.
 """
 
 from __future__ import annotations
 
-from .core import FiniteSemiring, InvalidSemiringError, SemiringError, make_semiring
+import re
+
+from .core import (
+    FiniteSemiring,
+    InvalidSemiringError,
+    SemiringError,
+    make_semiring,
+    token_end,
+)
+
+
+_NON_SPACE = re.compile(r"\S")
 
 
 class ParseError(SemiringError):
@@ -23,28 +34,13 @@ class ParseError(SemiringError):
 def _tokenize(line: str, lineno: int) -> list[tuple[str, int]]:
     tokens: list[tuple[str, int]] = []
     i = 0
-    n = len(line)
-    while i < n:
-        if line[i].isspace():
-            i += 1
-            continue
-        start = i
-        if line[i] in "([":
-            pairs = {"[": "]", "(": ")"}
-            stack = [pairs[line[i]]]
-            i += 1
-            while i < n and stack:
-                if line[i] in pairs:
-                    stack.append(pairs[line[i]])
-                elif line[i] == stack[-1]:
-                    stack.pop()
-                i += 1
-            if stack:
-                raise ParseError(lineno, start + 1,
-                                 f"unbalanced {line[start]!r}")
-        else:
-            while i < n and not line[i].isspace():
-                i += 1
+    while m := _NON_SPACE.search(line, i):
+        start = m.start()
+        try:
+            i = token_end(line, start)
+        except ValueError as exc:
+            pos = exc.args[0]
+            raise ParseError(lineno, pos + 1, f"unbalanced {line[pos]!r}") from None
         tokens.append((line[start:i], start + 1))
     return tokens
 

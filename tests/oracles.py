@@ -63,6 +63,41 @@ def axiom_sweep(S: FiniteSemiring) -> list[str]:
     return bad
 
 
+def axiom_violations(add, mul, zero: int, one: int) -> list[tuple]:
+    """Every violated axiom instance as (axiom, witness), in the order of
+    the plain O(n^3) sweep that `validate` reports; witnesses are padded
+    with 0 to triples."""
+    n = len(add)
+    rng = range(n)
+    bad: list[tuple] = []
+
+    for a in rng:
+        if add[zero][a] != a or add[a][zero] != a:
+            bad.append(("add-identity", (a, 0, 0)))
+        if mul[one][a] != a or mul[a][one] != a:
+            bad.append(("mul-identity", (a, 0, 0)))
+        if mul[zero][a] != zero:
+            bad.append(("left-annihilation", (a, 0, 0)))
+        if mul[a][zero] != zero:
+            bad.append(("right-annihilation", (a, 0, 0)))
+    for a in rng:
+        for b in rng:
+            if add[a][b] != add[b][a]:
+                bad.append(("add-commutativity", (a, b, 0)))
+    for a in rng:
+        for b in rng:
+            for c in rng:
+                if add[add[a][b]][c] != add[a][add[b][c]]:
+                    bad.append(("add-associativity", (a, b, c)))
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    bad.append(("mul-associativity", (a, b, c)))
+                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+                    bad.append(("left-distributivity", (a, b, c)))
+                if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]:
+                    bad.append(("right-distributivity", (a, b, c)))
+    return bad
+
+
 def nilpotent_by_long_sweep(S: FiniteSemiring, a: int) -> int | None:
     """Nilpotency via a 2*order power sweep, twice the claimed exact bound."""
     x = a

@@ -8,6 +8,7 @@ from semirings import (
     boolean_semiring,
     from_preset,
     parse_semiring_file,
+    presentation,
     serialize_semiring,
 )
 from semirings.cli import _EXIT_CODES, emit_report, main, run
@@ -31,6 +32,19 @@ def test_round_trip_of_product_of_matrices():
     # parenthesized labels containing bracketed, space-bearing labels
     S = from_preset("product:t2b,bool")
     assert parse_semiring_file(serialize_semiring(S)) == S
+
+
+def test_round_trip_of_presentation_labels():
+    # labels like "(1+x)*x" hold a bracket group inside a longer token
+    S = presentation(("x",), [("x*x*x", "x")], additively_idempotent=True).semiring
+    assert S.order == 8 and "(1+x)*x" in S.labels
+    assert parse_semiring_file(serialize_semiring(S)) == S
+
+
+def test_stray_closing_bracket_is_positioned():
+    with pytest.raises(ParseError) as err:
+        parse_semiring_file("order 2\nelements 0 1]\nzero 0\none 1]\n")
+    assert (err.value.line, err.value.col) == (2, 13)
 
 
 def test_handwritten_boolean_file():
@@ -239,6 +253,12 @@ def test_build_to_stdout_is_parseable(capsys):
 def test_unknown_preset_is_a_usage_error(argv):
     code, report = run(argv)
     assert code == 1 and report["verdict"] == "error"
+
+
+def test_preset_over_the_size_cap_is_an_error():
+    code, report = run(["classify", "--preset", "zmod:5000", "--json"])
+    assert code == 1 and report["verdict"] == "error"
+    assert "size cap" in report["result"]["error"]
 
 
 def test_missing_file_is_an_error(tmp_path):

@@ -104,6 +104,17 @@ def test_matrix_size_cap():
         matrix_semiring(zmod(4), 3)  # 4^9 elements is over the default cap
 
 
+@pytest.mark.parametrize("build", [
+    lambda: from_preset("zmod:5000"),
+    lambda: poly_quotient(zmod(2), [1] * 13 + [1]),  # 2^13 residues
+    lambda: direct_product(zmod(64), zmod(65)),
+    lambda: from_preset("product:zmod:64,zmod:65"),
+], ids=["zmod-preset", "poly-quotient", "product", "product-preset"])
+def test_constructors_refuse_carriers_over_the_cap(build):
+    with pytest.raises(DomainError, match="size cap"):
+        build()
+
+
 # ----------------------------------------------------------- direct product
 
 def test_product_of_booleans_is_all_idempotent(bool_sr):

@@ -1,26 +1,48 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semirings import (
     ElementSet,
     MalformedTableError,
     additive_inverse,
     element_classes,
+    enumerate_semirings,
+    from_preset,
     is_boolean,
     is_commutative,
     is_nilpotent,
     make_semiring,
     nilpotency_index,
+    parse_semiring_file,
     power,
     reindex,
     scalar_repeat,
+    serialize_semiring,
     validate,
     zmod,
 )
-from semirings.core import DomainError
+from semirings import core
+from semirings.core import AxiomReport, DomainError
 
-from oracles import axiom_sweep, fixture_semirings, nilpotent_by_long_sweep
+from oracles import (
+    axiom_sweep,
+    axiom_violations,
+    fixture_semirings,
+    nilpotent_by_long_sweep,
+)
 
 FIXTURES = fixture_semirings()
+
+# Catalog and preset semirings of order at most 32, on both sides of the
+# order at which validate starts taking its fast path.
+ORACLE_PRESETS = ("bool", "zmod:7", "zmod:9", "zmod:32", "t2b", "m2z2",
+                  "z2x-sq", "z3x-sqm1", "bxy-presentation",
+                  "triangular:zmod:3,2", "product:t2b,zmod:4",
+                  "product:m2z2,bool")
+ORACLE_BASES = st.one_of(
+    st.sampled_from([S for n in (2, 3, 4) for S in enumerate_semirings(n)]),
+    st.sampled_from([from_preset(name) for name in ORACLE_PRESETS]))
 
 
 # ---------------------------------------------------------------- validate
@@ -71,6 +93,154 @@ def test_validate_collects_every_instance():
                       [[0] * 3] * 3, 0, 1)
     comm = [v for v in report.violations if v.axiom == "add-commutativity"]
     assert len(comm) >= 2
+
+
+def _as_pairs(report: AxiomReport) -> list[tuple]:
+    return [(v.axiom, v.witness) for v in report.violations]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_validate_matches_the_sweep_on_perturbed_tables(data):
+    S = data.draw(ORACLE_BASES)
+    add = [list(row) for row in S.add]
+    mul = [list(row) for row in S.mul]
+    cell = st.tuples(st.sampled_from((add, mul)), st.integers(0, S.order - 1),
+                     st.integers(0, S.order - 1), st.integers(0, S.order - 1))
+    for table, i, j, value in data.draw(st.lists(cell, min_size=1, max_size=3)):
+        table[i][j] = value
+    report = validate(add, mul, S.zero, S.one)
+    want = axiom_violations(add, mul, S.zero, S.one)
+    assert _as_pairs(report) == want
+    assert report.valid == (not want)
+
+
+def test_broken_cell_outside_the_generators_is_found():
+    S = zmod(16)
+    mul = [list(row) for row in S.mul]
+    mul[6][10] = 11  # 6 * 10 is 12 mod 16
+    gens = core._generators(mul, (S.zero, S.one), S.order)
+    assert 6 not in gens and 10 not in gens
+    report = validate(S.add, mul, S.zero, S.one)
+    assert not report.valid
+    assert _as_pairs(report) == axiom_violations(S.add, mul, S.zero, S.one)
+
+
+def _maps_of_z3(flip: bool):
+    """The nine maps of Z/3 fixing 0, with pointwise sum and composition as
+    product.  Composition distributes over sums on one side only, failing
+    at the non-additive maps; flip swaps the side."""
+    maps = [(0, u, v) for u in range(3) for v in range(3)]
+    index = {f: i for i, f in enumerate(maps)}
+    add = [[index[tuple((s + t) % 3 for s, t in zip(f, g))] for g in maps]
+           for f in maps]
+    mul = [[index[tuple(f[t] for t in g)] for g in maps] for f in maps]
+    if flip:
+        mul = [list(col) for col in zip(*mul)]
+    return add, mul, index[(0, 0, 0)], index[(0, 1, 2)]
+
+
+def _fano_sums():
+    """0, 1 and the seven points of the Fano plane as 2..8: a point plus
+    itself is itself, two points add to the third point on their line, 1
+    absorbs every nonzero element, and points multiply to 0.  Addition is
+    commutative but not associative; every other law holds."""
+    lines = ((2, 3, 4), (2, 5, 6), (2, 7, 8), (3, 5, 7), (3, 6, 8), (4, 5, 8),
+             (4, 6, 7))
+    add = [[x if y in (0, x) else y if x == 0 else 1 for y in range(9)]
+           for x in range(9)]
+    for line in lines:
+        for p in line:
+            for q in line:
+                if p != q:
+                    add[p][q] = sum(line) - p - q
+    mul = [[y if x == 1 else x if y == 1 else 0 for y in range(9)]
+           for x in range(9)]
+    return add, mul, 0, 1
+
+
+def _gf2_algebra():
+    """The GF(2)-span of 1, a, b with a*a = b, b*a = a and a*b = b*b = 0,
+    as 3-bit masks: addition is xor and the product is bilinear, so every
+    law but multiplicative associativity holds; (a*a)*a = a, a*(a*a) = 0."""
+    products = {(2, 2): 4, (4, 2): 2, (2, 4): 0, (4, 4): 0}
+
+    def times(x: int, y: int) -> int:
+        out = 0
+        for i in (1, 2, 4):
+            for j in (1, 2, 4):
+                if x & i and y & j:
+                    out ^= i * j if 1 in (i, j) else products[i, j]
+        return out
+
+    add = [[x ^ y for y in range(8)] for x in range(8)]
+    mul = [[times(x, y) for y in range(8)] for x in range(8)]
+    return add, mul, 0, 1
+
+
+@pytest.mark.parametrize("tables,axiom", [
+    (_maps_of_z3(False), "left-distributivity"),
+    (_maps_of_z3(True), "right-distributivity"),
+    (_fano_sums(), "add-associativity"),
+    (_gf2_algebra(), "mul-associativity"),
+], ids=["left-dist", "right-dist", "add-assoc", "mul-assoc"])
+def test_tables_breaking_one_law_are_swept(tables, axiom):
+    want = axiom_violations(*tables)
+    assert {law for law, witness in want} == {axiom}
+    assert _as_pairs(validate(*tables)) == want
+
+
+def test_valid_tables_take_the_fast_path(monkeypatch):
+    tables = [from_preset(name) for name in ("zmod:128", "matrix:zmod:3,2")]
+
+    def no_sweep(*args):
+        raise AssertionError("the full sweep ran")
+
+    monkeypatch.setattr(core, "_sweep", no_sweep)
+    for S in tables:
+        assert validate(S.add, S.mul, S.zero, S.one) == AxiomReport(True, ())
+
+
+def test_small_carriers_take_the_sweep(monkeypatch):
+    S = zmod(7)
+    orders = []
+    sweep = core._sweep
+
+    def counting_sweep(add, mul, zero, one, n):
+        orders.append(n)
+        return sweep(add, mul, zero, one, n)
+
+    monkeypatch.setattr(core, "_sweep", counting_sweep)
+    assert validate(S.add, S.mul, S.zero, S.one).valid
+    assert orders == [7]
+
+
+# ------------------------------------------------------------------ labels
+
+@pytest.mark.parametrize("label", ["", "a b", " a", "a ", "#a", "(a", "a)",
+                                   "[a", "a]", "(a]", "[a\nb]", "a\tb", 7])
+def test_make_semiring_rejects_labels_that_cannot_round_trip(label):
+    with pytest.raises(MalformedTableError):
+        make_semiring(zmod(2).add, zmod(2).mul, 0, 1, ("0", label))
+
+
+@pytest.mark.parametrize("labels", [("[0 0]", "[1 1]"), ("0", "(1+x)*x"),
+                                    ("a#", "([a b],[c])")])
+def test_bracketed_and_compound_labels_round_trip(labels):
+    S = make_semiring(zmod(2).add, zmod(2).mul, 0, 1, labels)
+    assert parse_semiring_file(serialize_semiring(S)) == S
+
+
+@settings(max_examples=150, deadline=None)
+@given(labels=st.lists(st.text(" \t\n\u2028#()[]ab", max_size=5),
+                       min_size=1, max_size=4, unique=True))
+def test_labels_round_trip_or_are_refused(labels):
+    base = zmod(len(labels))
+    try:
+        S = make_semiring(base.add, base.mul, base.zero, base.one, labels)
+    except MalformedTableError:
+        return
+    assert parse_semiring_file(serialize_semiring(S)) == S
 
 
 @pytest.mark.parametrize("name,S", FIXTURES)
