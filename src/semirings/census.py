@@ -5,8 +5,12 @@ at index 0, up to relabeling that fixes 0; then, per additive table and per
 choice of the multiplicative identity, a backtracking fill of the
 multiplication table pruned cell-by-cell by associativity and
 distributivity.  Duplicates collapse under a canonical key, the
-lexicographically least relabeling fixing zero at 0 and one at 1.  Both
-stages find their least relabelings with one search, `_least_relabeling`.
+lexicographically least relabeling fixing zero at 0 and one at 1 within
+invariant-vector blocks.  Both stages find their least relabelings with
+one search, `_least_relabeling`: a branch and bound that builds the key
+cell by cell and prunes every partial relabeling whose prefix is already
+larger, so it reaches the same key, and on ties the same permutation, as
+trying every relabeling would.
 
 A scan evaluates every clause of the theorem table once per semiring and
 reads both the theorem verdicts and the entry flags off those clauses.
@@ -58,43 +62,135 @@ class ScanReport:
     violations: tuple[dict, ...]
 
 
-def _flatten(tables, n: int, perm: list[int]) -> bytes:
-    inv = [0] * n
-    for old, new in enumerate(perm):
-        inv[new] = old
-    out = bytearray([n])
-    for table in tables:
-        for i in range(n):
-            row = table[inv[i]]
-            for j in range(n):
-                out.append(perm[row[inv[j]]])
-    return bytes(out)
-
-
 def _least_relabeling(tables, n: int, pinned: dict[int, int],
                       blocks: list[list[int]]) -> tuple[bytes, list[int]]:
     """Least flattened relabeling of tables over the bijections that keep
     each pinned element at its given index and send the blocks, in order,
-    onto the consecutive indices after the pinned ones."""
-    base = [0] * n
+    onto the consecutive indices after the pinned ones.  Among the
+    bijections that reach the least key, the one returned has the least
+    tuple of positions within the blocks, label by label, which is the
+    first one in `itertools.product` order over the block permutations.
+
+    Branch and bound: the key `[n] + cells`, table by table and row by
+    row, is built cell by cell under a partial bijection `perm` (old to
+    new) and `inv` (new to old), with the pinned elements and the blocks
+    of one element set from the start.  A cell that needs an unlabeled
+    row or column label branches on the free elements of that label's
+    block, unless two or more are free and all give the cell the same
+    value; a cell whose value has no label yet branches on the free
+    labels of its block in ascending order.  Once every label is set, the
+    key is read off whole rows at a time.  While the prefix equals the
+    best key's prefix, a larger cell prunes the subtree.  A value that
+    every free element gives stays the cell's value under every
+    completion, because labels are only ever added.  Any two labels still
+    unset would meet in a cell, which branches, so a leaf leaves at most
+    one label unset, and its block has one free element left for it.
+    """
+    perm = [-1] * n
+    inv = [-1] * n
     for e, p in pinned.items():
-        base[e] = p
-    best_key: bytes | None = None
-    best_perm: list[int] | None = None
-    for arrangement in itertools.product(
-            *[itertools.permutations(b) for b in blocks]):
-        perm = list(base)
-        p = len(pinned)
-        for block in arrangement:
-            for e in block:
-                perm[e] = p
-                p += 1
-        key = _flatten(tables, n, perm)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_perm = perm
-    assert best_key is not None and best_perm is not None
-    return best_key, best_perm
+        perm[e] = p
+        inv[p] = e
+    owner: list[list[int]] = [[]] * n  # label -> its block
+    span = [(0, 0)] * n  # element -> its block's labels
+    rank = [0] * n  # element -> position in its block
+    p = len(pinned)
+    for block in blocks:
+        if len(block) == 1:
+            perm[block[0]], inv[p] = p, block[0]
+        else:
+            for i, e in enumerate(block):
+                owner[p + i] = block
+                span[e] = (p, p + len(block))
+                rank[e] = i
+        p += len(block)
+    rows = [(table, r) for table in tables for r in range(n)]
+    size = len(rows) * n + 1
+    cur = bytearray(size)
+    cur[0] = n
+    best = bytearray()
+    best_inv: list[int] = []
+
+    def settled(label: int, free: list[int], table, r: int, c: int):
+        """The cell's value if it is the same for every one of two or
+        more free elements that could take `label`, else None."""
+        if len(free) == 1 or r != c and inv[r] < 0 and inv[c] < 0:
+            return None
+        value = -1
+        for e in free:
+            w = table[e if r == label else inv[r]][e if c == label else inv[c]]
+            x = label if w == e else perm[w]
+            if x < 0 or value not in (-1, x):
+                return None
+            value = x
+        return value
+
+    def search(pos: int, tight: bool) -> None:
+        nonlocal best, best_inv
+        while pos < size:
+            k, c = divmod(pos - 1, n)
+            table, r = rows[k]
+            if c == 0 and -1 not in inv:
+                end = pos + n if tight else size
+                seg = bytes([perm[row[j]] for t, i in rows[k:(end - 1) // n]
+                             for row in (t[inv[i]],) for j in inv])
+                if tight:
+                    if seg > best[pos:end]:
+                        return
+                    tight = seg == best[pos:end]
+                cur[pos:end] = seg
+                pos = end
+                continue
+            a, b = inv[r], inv[c]
+            if a < 0 or b < 0:
+                label = r if a < 0 else c
+                free = [e for e in owner[label] if perm[e] < 0]
+                value = settled(label, free, table, r, c)
+                if value is None:
+                    for e in free:
+                        perm[e], inv[label] = label, e
+                        search(pos, tight)
+                        perm[e] = -1
+                        # the child set best or was compared with it, so
+                        # best now shares this prefix
+                        tight = True
+                    inv[label] = -1
+                    return
+            else:
+                v = table[a][b]
+                value = perm[v]
+                if value < 0:
+                    for label in range(*span[v]):
+                        if inv[label] >= 0:
+                            continue
+                        if tight and label > best[pos]:
+                            break
+                        perm[v], inv[label] = label, v
+                        search(pos, tight)
+                        inv[label] = -1
+                        tight = True
+                    perm[v] = -1
+                    return
+            if tight:
+                if value > best[pos]:
+                    return
+                tight = value == best[pos]
+            cur[pos] = value
+            pos += 1
+        full = list(inv)
+        if -1 in full:
+            label = full.index(-1)
+            full[label] = next(e for e in owner[label] if perm[e] < 0)
+        if not tight:
+            best, best_inv = bytearray(cur), full
+        elif [rank[e] for e in full] < [rank[e] for e in best_inv]:
+            best_inv = full
+
+    search(1, False)
+    best_perm = [0] * n
+    for new, old in enumerate(best_inv):
+        best_perm[old] = new
+    return bytes(best), best_perm
 
 
 def _canonical_search(S: FiniteSemiring) -> tuple[bytes, list[int]]:
@@ -112,11 +208,16 @@ def _canonical_search(S: FiniteSemiring) -> tuple[bytes, list[int]]:
 
 def canonical_form(S: FiniteSemiring) -> bytes:
     """Canonical key: least relabeled table pair over bijections fixing
-    zero at 0 and one at 1, searched within invariant-vector blocks.
+    zero at 0 and one at 1 and sending the invariant-vector blocks, in
+    sorted order of their vectors, onto consecutive labels.
 
     Keys of two validated semirings are equal iff the semirings are
     isomorphic: the candidate permutation set is itself an isomorphism
     invariant, so isomorphic inputs minimize over the same relabelings.
+    The minimum is found by branch and bound rather than by flattening
+    every candidate; among relabelings that tie on the key,
+    `canonical_relabel` uses the one with the lex-least tuple of block
+    positions, the first in the order of the exhaustive search.
     """
     return _canonical_search(S)[0]
 

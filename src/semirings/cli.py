@@ -387,12 +387,17 @@ def _dispatch(args) -> tuple[str, dict, dict]:
 
 
 def run(argv) -> tuple[int, dict]:
-    """Execute one command line; returns (exit code, report document)."""
+    """Execute one command line; returns (exit code, report document).
+
+    `--help` is not a command: argparse prints the help and its
+    `SystemExit(0)` propagates, so the process exits 0 with no report."""
     parser = _build_parser()
     command = argv[0] if argv else ""
     try:
         args = parser.parse_args(argv)
-    except SystemExit:
+    except SystemExit as exc:
+        if exc.code == 0:
+            raise
         report = _report(command, {}, "error", {"error": "usage error"})
         return 1, report
     try:

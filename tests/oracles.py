@@ -1,8 +1,8 @@
 """Independent oracles the tests check library results against.
 
 Everything here recomputes expectations from first principles (plain set
-fixed points, raw table sweeps, term expansion) without going through the
-code paths under test.
+fixed points, raw table sweeps, term expansion, every relabeling
+flattened) without going through the code paths under test.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import itertools
 from semirings import (
     FiniteSemiring,
     boolean_semiring,
-    canonical_form,
     make_semiring,
     matrix_semiring,
     poly_quotient,
@@ -20,6 +19,7 @@ from semirings import (
     validate,
     zmod,
 )
+from semirings.ops import invariant_vectors
 
 
 def closure_by_sets(S: FiniteSemiring, generators, op_name: str) -> frozenset:
@@ -108,13 +108,70 @@ def nilpotent_by_long_sweep(S: FiniteSemiring, a: int) -> int | None:
     return None
 
 
+def _flatten(tables, n: int, perm: list[int]) -> bytes:
+    inv = [0] * n
+    for old, new in enumerate(perm):
+        inv[new] = old
+    out = bytearray([n])
+    for table in tables:
+        for i in range(n):
+            row = table[inv[i]]
+            for j in range(n):
+                out.append(perm[row[inv[j]]])
+    return bytes(out)
+
+
+def least_relabeling_brute(tables, n: int, pinned: dict[int, int],
+                           blocks: list[list[int]]) -> tuple[bytes, list[int]]:
+    """Least flattened relabeling of tables over the bijections that keep
+    each pinned element at its given index and send the blocks, in order,
+    onto the consecutive indices after the pinned ones: every such
+    bijection is flattened, and the first least one in `itertools.product`
+    order is returned."""
+    base = [0] * n
+    for e, p in pinned.items():
+        base[e] = p
+    best_key: bytes | None = None
+    best_perm: list[int] | None = None
+    for arrangement in itertools.product(
+            *[itertools.permutations(b) for b in blocks]):
+        perm = list(base)
+        p = len(pinned)
+        for block in arrangement:
+            for e in block:
+                perm[e] = p
+                p += 1
+        key = _flatten(tables, n, perm)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_perm = perm
+    assert best_key is not None and best_perm is not None
+    return best_key, best_perm
+
+
+def canonical_search_brute(S: FiniteSemiring) -> tuple[bytes, list[int]]:
+    """The canonical key and permutation by `least_relabeling_brute`, with
+    zero pinned at 0, one at 1 and the rest in invariant-vector blocks."""
+    vecs = invariant_vectors(S)
+    pinned = {S.zero: 0}
+    if S.one != S.zero:
+        pinned[S.one] = 1
+    blocks: dict[tuple, list[int]] = {}
+    for e in S.elements:
+        if e not in pinned:
+            blocks.setdefault(vecs[e], []).append(e)
+    return least_relabeling_brute((S.add, S.mul), S.order, pinned,
+                                  [blocks[v] for v in sorted(blocks)])
+
+
 def brute_force_semiring_keys(n: int) -> set[bytes]:
     """Canonical keys of every semiring on {0..n-1}, from raw table pairs.
 
     No staging and no isomorphism reduction: each of the n^(n*n) addition
     tables is scanned for the additive axioms (identity at any position),
     each multiplication table for a two-sided identity, and every surviving
-    pair goes through the full validator.
+    pair goes through the full validator.  Keys come from
+    `canonical_search_brute`, not from the library's search.
     """
     rng = range(n)
     flats = list(itertools.product(rng, repeat=n * n))
@@ -146,7 +203,8 @@ def brute_force_semiring_keys(n: int) -> set[bytes]:
             continue
         for t, z in adds:
             if validate(t, m, z, ones[0]).valid:
-                keys.add(canonical_form(make_semiring(t, m, z, ones[0])))
+                S = make_semiring(t, m, z, ones[0])
+                keys.add(canonical_search_brute(S)[0])
     return keys
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from semirings import (
     canonical_relabel,
     direct_product,
     enumerate_semirings,
+    from_preset,
     generation_certificate,
     is_boolean,
     is_commutative,
@@ -20,7 +22,12 @@ from semirings import (
     zmod,
 )
 from semirings.cli import run
-from semirings.census import SCAN_FLAGS, enumerate_commutative_monoids
+from semirings.census import (
+    SCAN_FLAGS,
+    _canonical_search,
+    _least_relabeling,
+    enumerate_commutative_monoids,
+)
 from semirings.ops import (
     GEN_IDEMPOTENTS,
     GEN_NILIDEMPOTENTS,
@@ -36,7 +43,12 @@ from semirings.ops import (
     nilpotent_outside_v_and_z,
 )
 
-from oracles import brute_force_semiring_keys, fixture_semirings
+from oracles import (
+    brute_force_semiring_keys,
+    canonical_search_brute,
+    fixture_semirings,
+    least_relabeling_brute,
+)
 
 # Regression constants, frozen after the raw brute force over all order<=3
 # table pairs agreed with the staged enumeration.
@@ -131,6 +143,109 @@ def test_canonical_relabel_is_isomorphic(z3x):
     R = canonical_relabel(z3x)
     assert isomorphic(R, z3x) is not None
     assert canonical_form(R) == canonical_form(z3x)
+
+
+def _shuffled(S, rng):
+    perm = list(range(S.order))
+    rng.shuffle(perm)
+    return reindex(S, perm)
+
+
+@pytest.mark.parametrize("order", (1, 2, 3, 4))
+def test_canonical_search_matches_brute_force_on_the_catalog(order):
+    rng = random.Random(order)
+    for S in enumerate_semirings(order):
+        for _ in range(3):
+            T = _shuffled(S, rng)
+            assert _canonical_search(T) == canonical_search_brute(T)
+
+
+@pytest.mark.parametrize("preset", ("product:zmod:4,zmod:4",
+                                    "product:z2x-sq,z2x-sq"))
+def test_canonical_search_matches_brute_force_on_products(preset):
+    S = from_preset(preset)
+    for T in (S, _shuffled(S, random.Random(7))):
+        assert _canonical_search(T) == canonical_search_brute(T)
+
+
+def test_canonical_search_breaks_ties_like_brute_force():
+    # This product has several relabelings that reach the least key, and
+    # under many relabelings of its input the search meets one of them
+    # before the one with the least positions, which it must return.
+    P = direct_product(enumerate_semirings(4)[3], enumerate_semirings(3)[0])
+    rng = random.Random(0)
+    for _ in range(10):
+        T = _shuffled(P, rng)
+        assert _canonical_search(T) == canonical_search_brute(T)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_monoid_stage_relabeling_matches_brute_force(n):
+    rng = random.Random(n)
+    for table in enumerate_commutative_monoids(n):
+        perm = [0] + rng.sample(range(1, n), n - 1)
+        relabeled = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                relabeled[perm[a]][perm[b]] = perm[table[a][b]]
+        args = ((relabeled,), n, {0: 0}, [list(range(1, n))])
+        assert _least_relabeling(*args) == least_relabeling_brute(*args)
+
+
+def test_least_relabeling_matches_brute_force_on_random_tables():
+    # Few distinct values make many relabelings tie on the key, and the
+    # blocks are not sorted, so the tie-break by position in the block is
+    # exercised too.
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        values = rng.randint(1, n)
+        tables = [[[rng.randrange(values) for _ in range(n)]
+                   for _ in range(n)] for _ in range(rng.randint(1, 2))]
+        elements = rng.sample(range(n), n)
+        npinned = rng.randint(0, min(2, n))
+        pinned = {e: i for i, e in enumerate(elements[:npinned])}
+        rest = elements[npinned:]
+        blocks = []
+        while rest:
+            cut = rng.randint(1, len(rest))
+            blocks.append(rest[:cut])
+            rest = rest[cut:]
+        args = (tables, n, pinned, blocks)
+        assert _least_relabeling(*args) == least_relabeling_brute(*args)
+
+
+# sha256 of canonical_form and the labels of canonical_relabel, recorded
+# with the exhaustive search (51,840, 86,400 and 17,280 relabelings).
+PINNED_CANONICAL_FORMS = {
+    "m2z2": (
+        "c091d4f1c1ee87f7ba01d86ec2f67506fd8e10d86ac08f3b4f9d2c5d2204a058",
+        ("[0 0;0 0]", "[1 0;0 1]", "[0 1;1 0]", "[1 1;0 1]", "[1 0;1 1]",
+         "[0 1;1 1]", "[1 1;1 0]", "[1 1;1 1]", "[0 1;0 0]", "[0 0;1 0]",
+         "[0 0;0 1]", "[1 0;0 0]", "[1 0;1 0]", "[0 0;1 1]", "[1 1;0 0]",
+         "[0 1;0 1]")),
+    "product:t2b,zmod:2": (
+        "b1a44b14c70f11240896e66901d4d00765a45d221b38936053f683488181c98b",
+        ("([0 0;0 0],0)", "([1 0;0 1],1)", "([0 1;0 0],1)", "([0 1;0 0],0)",
+         "([1 0;0 1],0)", "([1 1;0 1],0)", "([1 0;0 0],0)", "([0 0;0 1],0)",
+         "([1 1;0 0],0)", "([0 1;0 1],0)", "([1 1;0 1],1)", "([1 0;0 0],1)",
+         "([0 0;0 1],1)", "([1 1;0 0],1)", "([0 1;0 1],1)", "([0 0;0 0],1)")),
+    "product:z3x-sqm1,bool": (
+        "43aa016b389f16df672d762351657510f47070efbae92cd7c7759d113528d780",
+        ("(0,0)", "(1,1)", "(1+x,1)", "(1+2x,1)", "(2,1)", "(x,1)", "(2x,1)",
+         "(x,0)", "(2x,0)", "(2,0)", "(1+x,0)", "(1+2x,0)", "(0,1)",
+         "(2+x,1)", "(2+2x,1)", "(1,0)", "(2+x,0)", "(2+2x,0)")),
+}
+
+
+@pytest.mark.parametrize("preset", tuple(PINNED_CANONICAL_FORMS))
+def test_canonical_forms_of_large_blocks_are_pinned(preset):
+    digest, labels = PINNED_CANONICAL_FORMS[preset]
+    S = from_preset(preset)
+    assert hashlib.sha256(canonical_form(S)).hexdigest() == digest
+    assert canonical_relabel(S).labels == labels
+    copy = _shuffled(S, random.Random(5))
+    assert hashlib.sha256(canonical_form(copy)).hexdigest() == digest
 
 
 @pytest.mark.parametrize("order", (2, 3, 4))

@@ -278,6 +278,23 @@ def test_usage_error_exit_code(capsys):
     assert code == 1 and report["verdict"] == "error"
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["census", "--help"],
+                                  ["check", "-h", "--json"]])
+def test_help_exits_zero_with_only_the_help(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: semirings")
+    assert "verdict" not in out and "usage error" not in out
+
+
+def test_usage_error_still_reports(capsys):
+    assert main(["census", "--max-order", "x"]) == 1
+    out = capsys.readouterr().out
+    assert "verdict: error" in out and "usage error" in out
+
+
 def test_exit_code_table():
     assert _EXIT_CODES == {"ok": 0, "confirmed": 0, "vacuous": 0,
                            "absent": 0, "violation": 2, "error": 1}
