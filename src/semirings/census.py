@@ -2,15 +2,15 @@
 
 Enumeration is staged: first the commutative addition monoids with identity
 at index 0, up to relabeling that fixes 0; then, per additive table and per
-choice of the multiplicative identity, a backtracking fill of the
-multiplication table pruned cell-by-cell by associativity and
-distributivity.  Duplicates collapse under a canonical key, the
-lexicographically least relabeling fixing zero at 0 and one at 1 within
-invariant-vector blocks.  Both stages find their least relabelings with
-one search, `_least_relabeling`: a branch and bound that builds the key
-cell by cell and prunes every partial relabeling whose prefix is already
-larger, so it reaches the same key, and on ties the same permutation, as
-trying every relabeling would.
+choice of the multiplicative identity, the multiplication tables.  Both
+stages fill a partial table with one backtracking search, `_completions`,
+that checks only the law instances reading the cell just set.  Duplicates
+collapse under a canonical key, the lexicographically least relabeling
+fixing zero at 0 and one at 1 within invariant-vector blocks, found by
+one branch and bound, `_least_relabeling`, that builds the key cell by
+cell and prunes every partial relabeling whose prefix is already larger,
+so it reaches the same key, and on ties the same permutation, as trying
+every relabeling would.
 
 A scan evaluates every clause of the theorem table once per semiring and
 reads both the theorem verdicts and the entry flags off those clauses.
@@ -18,7 +18,6 @@ reads both the theorem verdicts and the entry flags off those clauses.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import DomainError, FiniteSemiring, make_semiring, reindex
@@ -228,82 +227,83 @@ def canonical_relabel(S: FiniteSemiring) -> FiniteSemiring:
     return reindex(S, perm)
 
 
+def _laws_hold(t, add, n: int, cells) -> bool:
+    """Whether the decided instances (a, b, c) of associativity of the
+    partial table `t` and, unless `add` is None, of both distributive laws
+    over `add` hold, for a the row or c the column of a position in
+    `cells`.  Those are all the instances that read `cells`: associativity
+    reads (a,b), (b,c), (ab,c) and (a,bc), left distributivity row a, and
+    right distributivity column c."""
+    rows = {i for i, _ in cells}
+    cols = {j for _, j in cells}
+    for a in range(n):
+        ta = t[a]
+        for c in range(n) if a in rows else cols:
+            ac = ta[c]
+            for b in range(n):
+                ab, bc = ta[b], t[b][c]
+                if ab >= 0 and bc >= 0:
+                    x, y = t[ab][c], ta[bc]
+                    if x >= 0 and y >= 0 and x != y:
+                        return False
+                if add is None or ac < 0:
+                    continue
+                x = ta[add[b][c]]  # a(b+c) == ab + ac
+                if ab >= 0 and x >= 0 and x != add[ab][ac]:
+                    return False
+                x = t[add[a][b]][c]  # (a+b)c == ac + bc
+                if bc >= 0 and x >= 0 and x != add[ac][bc]:
+                    return False
+    return True
+
+
+def _completions(t, cells, add, n: int):
+    """Each completion of the partial table `t` (-1 marks a free cell)
+    that passes `_laws_hold`, as a tuple of tuples, giving the positions
+    of each tuple in `cells` one value, tried in ascending order.  Setting
+    a tuple decides only instances that read it, so checking those keeps
+    every decided instance true.  The base case is a full check of the
+    preset cells, for instances such as a(1+1) = a+a with 1+1 in {0, 1},
+    which read no free cell."""
+    def fill(k: int):
+        if k == len(cells):
+            yield tuple(tuple(row) for row in t)
+            return
+        for v in range(n):
+            for i, j in cells[k]:
+                t[i][j] = v
+            if _laws_hold(t, add, n, cells[k]):
+                yield from fill(k + 1)
+        for i, j in cells[k]:
+            t[i][j] = -1
+
+    if _laws_hold(t, add, n, [(a, a) for a in range(n)]):
+        yield from fill(0)
+
+
 def enumerate_commutative_monoids(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """Commutative monoid tables on {0..n-1} with identity 0, one table per
     isomorphism class (isomorphisms fix 0)."""
-    if n == 1:
-        return [((0,),)]
-    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+    table = [[-1] * n for _ in range(n)]
+    for a in range(n):
+        table[0][a] = table[a][0] = a
+    cells = [((i, j), (j, i)) for i in range(1, n) for j in range(i, n)]
     found: dict[bytes, tuple[tuple[int, ...], ...]] = {}
-    for values in itertools.product(range(n), repeat=len(cells)):
-        table = [[0] * n for _ in range(n)]
-        for a in range(n):
-            table[0][a] = table[a][0] = a
-        for (i, j), v in zip(cells, values):
-            table[i][j] = table[j][i] = v
-        ok = True
-        for a in range(n):
-            for b in range(n):
-                tab = table[a][b]
-                for c in range(n):
-                    if table[tab][c] != table[a][table[b][c]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        frozen = tuple(tuple(row) for row in table)
+    for frozen in _completions(table, cells, None, n):
         key, _ = _least_relabeling((frozen,), n, {0: 0}, [list(range(1, n))])
         found.setdefault(key, frozen)
     return [found[k] for k in sorted(found)]
 
 
 def _complete_mul_tables(add, n: int, one: int):
-    """Backtrack over the free multiplication cells, pruning each partial
-    table by every associativity and distributivity instance whose operands
-    are already determined."""
+    """The multiplication tables with zero 0 and identity `one` that make
+    `add` a semiring, free cells filled in row-major order."""
     mul = [[-1] * n for _ in range(n)]
     for a in range(n):
         mul[0][a] = mul[a][0] = 0
         mul[one][a] = mul[a][one] = a
-    free = [(i, j) for i in range(n) for j in range(n) if mul[i][j] == -1]
-
-    def consistent() -> bool:
-        for a in range(n):
-            for b in range(n):
-                ab = mul[a][b]
-                for c in range(n):
-                    bc = mul[b][c]
-                    if ab != -1 and bc != -1 and mul[ab][c] != -1 \
-                            and mul[a][bc] != -1 and mul[ab][c] != mul[a][bc]:
-                        return False
-                    # a(b+c) == ab + ac
-                    s = add[b][c]
-                    if mul[a][s] != -1 and ab != -1 and mul[a][c] != -1 \
-                            and mul[a][s] != add[ab][mul[a][c]]:
-                        return False
-                    # (a+b)c == ac + bc
-                    t = add[a][b]
-                    if mul[t][c] != -1 and mul[a][c] != -1 and bc != -1 \
-                            and mul[t][c] != add[mul[a][c]][mul[b][c]]:
-                        return False
-        return True
-
-    def fill(k: int):
-        if k == len(free):
-            yield tuple(tuple(row) for row in mul)
-            return
-        i, j = free[k]
-        for v in range(n):
-            mul[i][j] = v
-            if consistent():
-                yield from fill(k + 1)
-        mul[i][j] = -1
-
-    yield from fill(0)
+    cells = [((i, j),) for i in range(n) for j in range(n) if mul[i][j] < 0]
+    return _completions(mul, cells, add, n)
 
 
 def enumerate_semirings(order: int,

@@ -52,9 +52,6 @@ SCHEMA_VERSION = 1
 _EXIT_CODES = {"ok": 0, "confirmed": 0, "vacuous": 0, "absent": 0,
                "violation": 2, "error": 1}
 
-_COMMANDS = ("validate", "classify", "closure", "complement", "decompose",
-             "lift", "invert", "peirce", "iso", "check", "census", "build")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -403,7 +400,7 @@ def run(argv) -> tuple[int, dict]:
     try:
         verdict, descriptor, payload = _dispatch(args)
         report = _report(args.command, descriptor, verdict, payload)
-    except (SemiringError, OSError) as exc:
+    except (SemiringError, OSError, UnicodeDecodeError) as exc:
         report = _report(args.command, {}, "error",
                          {"error": str(exc), "kind": type(exc).__name__})
         return 1, report

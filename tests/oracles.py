@@ -2,7 +2,8 @@
 
 Everything here recomputes expectations from first principles (plain set
 fixed points, raw table sweeps, term expansion, every relabeling
-flattened) without going through the code paths under test.
+flattened, every law instance rescanned) without going through the code
+paths under test.
 """
 
 from __future__ import annotations
@@ -162,6 +163,88 @@ def canonical_search_brute(S: FiniteSemiring) -> tuple[bytes, list[int]]:
             blocks.setdefault(vecs[e], []).append(e)
     return least_relabeling_brute((S.add, S.mul), S.order, pinned,
                                   [blocks[v] for v in sorted(blocks)])
+
+
+def commutative_monoids_brute(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Commutative monoid tables on {0..n-1} with identity 0, one per
+    isomorphism class fixing 0: every symmetric table with identity 0 is
+    checked for associativity in full, and the first of each class, keyed
+    by `least_relabeling_brute`, is kept, in key order."""
+    if n == 1:
+        return [((0,),)]
+    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+    found: dict[bytes, tuple[tuple[int, ...], ...]] = {}
+    for values in itertools.product(range(n), repeat=len(cells)):
+        table = [[0] * n for _ in range(n)]
+        for a in range(n):
+            table[0][a] = table[a][0] = a
+        for (i, j), v in zip(cells, values):
+            table[i][j] = table[j][i] = v
+        ok = True
+        for a in range(n):
+            for b in range(n):
+                tab = table[a][b]
+                for c in range(n):
+                    if table[tab][c] != table[a][table[b][c]]:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        frozen = tuple(tuple(row) for row in table)
+        key, _ = least_relabeling_brute((frozen,), n, {0: 0},
+                                        [list(range(1, n))])
+        found.setdefault(key, frozen)
+    return [found[k] for k in sorted(found)]
+
+
+def mul_completions_brute(add, n: int, one: int):
+    """Backtrack over the free multiplication cells in row-major order,
+    values ascending, pruning each partial table by a rescan of every
+    associativity and distributivity instance whose operands are already
+    determined."""
+    mul = [[-1] * n for _ in range(n)]
+    for a in range(n):
+        mul[0][a] = mul[a][0] = 0
+        mul[one][a] = mul[a][one] = a
+    free = [(i, j) for i in range(n) for j in range(n) if mul[i][j] == -1]
+
+    def consistent() -> bool:
+        for a in range(n):
+            for b in range(n):
+                ab = mul[a][b]
+                for c in range(n):
+                    bc = mul[b][c]
+                    if ab != -1 and bc != -1 and mul[ab][c] != -1 \
+                            and mul[a][bc] != -1 and mul[ab][c] != mul[a][bc]:
+                        return False
+                    # a(b+c) == ab + ac
+                    s = add[b][c]
+                    if mul[a][s] != -1 and ab != -1 and mul[a][c] != -1 \
+                            and mul[a][s] != add[ab][mul[a][c]]:
+                        return False
+                    # (a+b)c == ac + bc
+                    t = add[a][b]
+                    if mul[t][c] != -1 and mul[a][c] != -1 and bc != -1 \
+                            and mul[t][c] != add[mul[a][c]][mul[b][c]]:
+                        return False
+        return True
+
+    def fill(k: int):
+        if k == len(free):
+            yield tuple(tuple(row) for row in mul)
+            return
+        i, j = free[k]
+        for v in range(n):
+            mul[i][j] = v
+            if consistent():
+                yield from fill(k + 1)
+        mul[i][j] = -1
+
+    yield from fill(0)
 
 
 def brute_force_semiring_keys(n: int) -> set[bytes]:

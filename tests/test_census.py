@@ -25,6 +25,8 @@ from semirings.cli import run
 from semirings.census import (
     SCAN_FLAGS,
     _canonical_search,
+    _complete_mul_tables,
+    _completions,
     _least_relabeling,
     enumerate_commutative_monoids,
 )
@@ -46,8 +48,10 @@ from semirings.ops import (
 from oracles import (
     brute_force_semiring_keys,
     canonical_search_brute,
+    commutative_monoids_brute,
     fixture_semirings,
     least_relabeling_brute,
+    mul_completions_brute,
 )
 
 # Regression constants, frozen after the raw brute force over all order<=3
@@ -111,6 +115,34 @@ def test_commutative_monoid_stage():
             assert table[0][a] == a
             for b in range(n):
                 assert table[a][b] == table[b][a]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_monoid_stage_matches_brute_force(n):
+    assert enumerate_commutative_monoids(n) == commutative_monoids_brute(n)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_mul_stage_matches_brute_force(n):
+    # Same tables in the same order, so the census keeps the same first
+    # table of each class.
+    for add in commutative_monoids_brute(n):
+        for one in range(1, n):
+            assert list(_complete_mul_tables(add, n, one)) == \
+                list(mul_completions_brute(add, n, one))
+
+
+def test_completions_check_the_preset_cells():
+    # (0, 0, 1) breaks associativity and reads no free cell, so only the
+    # full check before the first branch rejects these tables.
+    broken = [[1, 1, 2], [1, 0, 2], [2, 2, -1]]
+    assert list(_completions(broken, [((2, 2),)], None, 3)) == []
+    assert list(_completions([[1, 1], [1, 0]], [], None, 2)) == []
+
+
+def test_monoid_counts_match_oeis_a058131():
+    counts = [len(enumerate_commutative_monoids(n)) for n in range(1, 6)]
+    assert counts == [1, 2, 5, 19, 78]
 
 
 # ----------------------------------------------------------- canonical keys

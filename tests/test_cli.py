@@ -266,6 +266,15 @@ def test_missing_file_is_an_error(tmp_path):
     assert code == 1 and report["verdict"] == "error"
 
 
+@pytest.mark.parametrize("command", ["classify", "validate"])
+def test_undecodable_file_is_an_error(tmp_path, command):
+    path = tmp_path / "binary.sr"
+    path.write_bytes(b"\xff\xfe")
+    code, report = run([command, "--file", str(path)])
+    assert code == 1 and report["verdict"] == "error"
+    assert report["result"]["kind"] == "UnicodeDecodeError"
+
+
 def test_wrong_arity_is_an_error():
     code, report = run(["iso", "--preset", "bool"])
     assert code == 1
