@@ -306,16 +306,16 @@ def _complete_mul_tables(add, n: int, one: int):
     return _completions(mul, cells, add, n)
 
 
-def enumerate_semirings(order: int,
-                        max_order: int = DEFAULT_MAX_ORDER) -> list[FiniteSemiring]:
-    """All semirings of the given order up to isomorphism, as canonical
-    representatives sorted by canonical key."""
+def _catalog(order: int, max_order: int) -> list[tuple[bytes, FiniteSemiring]]:
+    """(canonical key, canonical representative) for each isomorphism
+    class of the given order, sorted by key."""
     if order > max_order:
         raise DomainError(f"order {order} above configured maximum {max_order}")
     if order < 1:
         raise DomainError("order must be positive")
     if order == 1:
-        return [make_semiring(((0,),), ((0,),), 0, 0, ("0",))]
+        S = make_semiring(((0,),), ((0,),), 0, 0, ("0",))
+        return [(canonical_form(S), S)]
     found: dict[bytes, FiniteSemiring] = {}
     labels = _GENERIC_LABELS[:order]
     for add in enumerate_commutative_monoids(order):
@@ -328,7 +328,14 @@ def enumerate_semirings(order: int,
                     found[key] = FiniteSemiring(
                         order=canon.order, add=canon.add, mul=canon.mul,
                         zero=canon.zero, one=canon.one, labels=labels)
-    return [found[k] for k in sorted(found)]
+    return sorted(found.items())
+
+
+def enumerate_semirings(order: int,
+                        max_order: int = DEFAULT_MAX_ORDER) -> list[FiniteSemiring]:
+    """All semirings of the given order up to isomorphism, as canonical
+    representatives sorted by canonical key."""
+    return [S for _, S in _catalog(order, max_order)]
 
 
 # scan flag -> the theorem-table clause it reports
@@ -346,8 +353,8 @@ _FLAG_CLAUSES = {
 SCAN_FLAGS = tuple(_FLAG_CLAUSES)
 
 
-def _scan_entry(S: FiniteSemiring, theorem_ids) -> tuple[ScanEntry, list[dict]]:
-    key = canonical_form(S).hex()
+def _scan_entry(key: str, S: FiniteSemiring,
+                theorem_ids) -> tuple[ScanEntry, list[dict]]:
     checks = {name: check_clause(S, name) for name in _FLAG_CLAUSES.values()}
     verdicts = {}
     violations = []
@@ -378,16 +385,16 @@ def scan(orders, theorem_ids=THEOREM_IDS, include_trivial: bool = False,
     for theorem in theorem_ids:
         if theorem not in THEOREM_IDS:
             raise DomainError(f"unknown theorem id {theorem!r}")
-    catalog: list[FiniteSemiring] = []
+    catalog: list[tuple[bytes, FiniteSemiring]] = []
     counts: dict[int, int] = {}
     for order in orders:
-        batch = enumerate_semirings(order, max_order=max_order)
+        batch = _catalog(order, max_order)
         if not include_trivial:
-            batch = [S for S in batch if S.order > 1]
+            batch = [(key, S) for key, S in batch if S.order > 1]
         counts[order] = len(batch)
         catalog.extend(batch)
 
-    results = [_scan_entry(S, theorem_ids) for S in catalog]
+    results = [_scan_entry(key.hex(), S, theorem_ids) for key, S in catalog]
     entries = tuple(entry for entry, _ in results)
     violations = [v for _, batch in results for v in batch]
     tallies: dict[str, dict[str, int]] = {}

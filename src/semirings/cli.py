@@ -173,6 +173,7 @@ def _classify_symbolic(model) -> dict:
     assert isinstance(model, TripleModel)
     xy = model.mul(model.x, model.y)
     yx = model.mul(model.y, model.x)
+    complement = model.complement_to_one(model.x)
     return {
         "model": "nn-triple",
         "idempotents": [model.label(u) for u in model.idempotents()],
@@ -181,7 +182,8 @@ def _classify_symbolic(model) -> dict:
         "boolean": model.is_boolean(),
         "x*y": model.label(xy),
         "y*x": model.label(yx),
-        "complement_of_x_to_one": None,
+        "complement_of_x_to_one":
+            None if complement is None else model.label(complement),
     }
 
 

@@ -3,12 +3,7 @@ polynomial quotients, matrix and triangular semirings, direct products."""
 
 from __future__ import annotations
 
-from .core import (
-    DomainError,
-    FiniteSemiring,
-    canonical_slots,
-    make_semiring,
-)
+from .core import DomainError, FiniteSemiring, make_semiring, tabulate
 
 DEFAULT_MAX_ELEMENTS = 4096
 
@@ -73,44 +68,36 @@ def poly_quotient(base: FiniteSemiring, modulus: list[int]) -> FiniteSemiring:
     if mod[-1] != 1:
         raise DomainError("modulus must be monic")
 
-    count = n ** d
-    _check_size(count)
+    _check_size(n ** d)
 
-    def decode(e: int) -> tuple[int, ...]:
-        return tuple((e // n ** i) % n for i in range(d))
-
-    def encode(coeffs) -> int:
-        return sum(c * n ** i for i, c in enumerate(coeffs))
-
-    def reduce(raw: list[int]) -> tuple[int, ...]:
+    def times(u, v):
+        raw = [0] * (2 * d - 1)
+        for i, a in enumerate(u):
+            for j, b in enumerate(v):
+                raw[i + j] += a * b
         # monic division: x^d = -(mod[0] + ... + mod[d-1] x^(d-1))
-        raw = [c % n for c in raw]
-        for deg in range(len(raw) - 1, d - 1, -1):
-            c = raw[deg]
-            if c:
-                raw[deg] = 0
-                for i in range(d):
-                    raw[deg - d + i] = (raw[deg - d + i] - c * mod[i]) % n
-        return tuple((raw + [0] * d)[:d])
+        for deg in range(2 * d - 2, d - 1, -1):
+            c = raw[deg] % n
+            for i in range(d):
+                raw[deg - d + i] -= c * mod[i]
+        return tuple(c % n for c in raw[:d])
 
-    elements = [decode(e) for e in range(count)]
-    add = [[encode(tuple((a + b) % n for a, b in zip(u, v))) for v in elements]
-           for u in elements]
-    mul_rows = []
-    for u in elements:
-        row = []
-        for v in elements:
-            raw = [0] * (2 * d - 1)
-            for i, a in enumerate(u):
-                for j, b in enumerate(v):
-                    raw[i + j] += a * b
-            row.append(encode(reduce(raw)))
-        mul_rows.append(row)
-    labels = tuple(_poly_label(u) for u in elements)
-    return make_semiring(add, mul_rows, 0, 1 % count, labels)
+    # coefficient tuples, constant term first, counting in base n
+    return tabulate([tuple((e // n ** i) % n for i in range(d))
+                     for e in range(n ** d)],
+                    lambda u, v: tuple((a + b) % n for a, b in zip(u, v)),
+                    times, (0,) * d, (1 % n,) + (0,) * (d - 1), _poly_label)
 
 
-def _matrix_universe(S: FiniteSemiring, n: int, positions, max_elements: int):
+def _matrix_label(S: FiniteSemiring, mat) -> str:
+    return "[" + ";".join(" ".join(S.labels[v] for v in row) for row in mat) + "]"
+
+
+def _matrix_semiring(S: FiniteSemiring, n: int, positions,
+                     max_elements: int) -> FiniteSemiring:
+    """The n-by-n matrices over S that are S.zero off `positions`."""
+    if n < 1:
+        raise DomainError("matrix dimension must be at least 1")
     count = S.order ** len(positions)
     _check_size(count, max_elements)
 
@@ -120,16 +107,6 @@ def _matrix_universe(S: FiniteSemiring, n: int, positions, max_elements: int):
             mat[i][j] = (e // S.order ** p) % S.order
         return tuple(tuple(row) for row in mat)
 
-    mats = [decode(e) for e in range(count)]
-    index = {m: e for e, m in enumerate(mats)}
-    return mats, index
-
-
-def _matrix_label(S: FiniteSemiring, mat) -> str:
-    return "[" + ";".join(" ".join(S.labels[v] for v in row) for row in mat) + "]"
-
-
-def _finish_matrix_semiring(S: FiniteSemiring, n: int, mats, index) -> FiniteSemiring:
     def madd(a, b):
         return tuple(tuple(S.plus(x, y) for x, y in zip(ra, rb))
                      for ra, rb in zip(a, b))
@@ -139,48 +116,36 @@ def _finish_matrix_semiring(S: FiniteSemiring, n: int, mats, index) -> FiniteSem
                            for j in range(n))
                      for i in range(n))
 
-    add = [[index[madd(a, b)] for b in mats] for a in mats]
-    mul = [[index[mmul(a, b)] for b in mats] for a in mats]
-    zero = index[tuple(tuple(S.zero for _ in range(n)) for _ in range(n))]
-    one = index[tuple(tuple(S.one if i == j else S.zero for j in range(n))
-                      for i in range(n))]
-    labels = tuple(_matrix_label(S, m) for m in mats)
-    return canonical_slots(make_semiring(add, mul, zero, one, labels))
+    zero = tuple((S.zero,) * n for _ in range(n))
+    one = tuple(tuple(S.one if i == j else S.zero for j in range(n))
+                for i in range(n))
+    return tabulate(map(decode, range(count)), madd, mmul, zero, one,
+                    lambda mat: _matrix_label(S, mat))
 
 
 def matrix_semiring(S: FiniteSemiring, n: int,
                     max_elements: int = DEFAULT_MAX_ELEMENTS) -> FiniteSemiring:
     """Full n-by-n matrices over S with entrywise sum and row-by-column product."""
-    if n < 1:
-        raise DomainError("matrix dimension must be at least 1")
     positions = [(i, j) for i in range(n) for j in range(n)]
-    mats, index = _matrix_universe(S, n, positions, max_elements)
-    return _finish_matrix_semiring(S, n, mats, index)
+    return _matrix_semiring(S, n, positions, max_elements)
 
 
 def triangular_semiring(S: FiniteSemiring, n: int,
                         max_elements: int = DEFAULT_MAX_ELEMENTS) -> FiniteSemiring:
     """Upper triangular n-by-n matrices over S."""
-    if n < 1:
-        raise DomainError("matrix dimension must be at least 1")
     positions = [(i, j) for i in range(n) for j in range(n) if i <= j]
-    mats, index = _matrix_universe(S, n, positions, max_elements)
-    return _finish_matrix_semiring(S, n, mats, index)
+    return _matrix_semiring(S, n, positions, max_elements)
 
 
 def direct_product(S: FiniteSemiring, T: FiniteSemiring) -> FiniteSemiring:
     """Componentwise operations on pairs, labelled "(s,t)"."""
     _check_size(S.order * T.order)
-    pairs = [(a, b) for b in T.elements for a in S.elements]
-    index = {p: e for e, p in enumerate(pairs)}
-    add = [[index[(S.plus(a, c), T.plus(b, d))] for (c, d) in pairs]
-           for (a, b) in pairs]
-    mul = [[index[(S.times(a, c), T.times(b, d))] for (c, d) in pairs]
-           for (a, b) in pairs]
-    labels = tuple(f"({S.labels[a]},{T.labels[b]})" for (a, b) in pairs)
-    zero = index[(S.zero, T.zero)]
-    one = index[(S.one, T.one)]
-    return canonical_slots(make_semiring(add, mul, zero, one, labels))
+    return tabulate(
+        [(a, b) for b in T.elements for a in S.elements],
+        lambda p, q: (S.plus(p[0], q[0]), T.plus(p[1], q[1])),
+        lambda p, q: (S.times(p[0], q[0]), T.times(p[1], q[1])),
+        (S.zero, T.zero), (S.one, T.one),
+        lambda p: f"({S.labels[p[0]]},{T.labels[p[1]]})")
 
 
 def from_preset(name: str):
@@ -251,7 +216,3 @@ def _finite_preset(name: str) -> FiniteSemiring:
                           "need finite components")
     return S
 
-
-PRESET_NAMES = ("bool", "zmod:n", "t2b", "m2z2", "z2x-sq", "z3x-sqm1",
-                "bxy-presentation", "nat", "nn-triple", "product:...",
-                "matrix:...", "triangular:...")

@@ -459,14 +459,22 @@ def reindex(S: FiniteSemiring, perm: Iterable[int]) -> FiniteSemiring:
                           zero=perm[S.zero], one=perm[S.one], labels=labels)
 
 
-def canonical_slots(S: FiniteSemiring) -> FiniteSemiring:
-    """Move zero to index 0 and one to index 1, keeping other relative order."""
-    rest = [e for e in S.elements if e not in (S.zero, S.one)]
-    order_list = [S.zero] + ([S.one] if S.one != S.zero else []) + rest
-    perm = [0] * S.order
-    for new, old in enumerate(order_list):
-        perm[old] = new
-    return reindex(S, perm)
+def tabulate(elements, plus, times, zero, one, label) -> FiniteSemiring:
+    """Build the semiring on `elements` under the operations plus, times.
+
+    Elements are any hashable values, listed once each, closed under both
+    operations and holding zero and one.  The carrier is ordered zero,
+    then one unless it equals zero, then the other elements in the order
+    given, so zero gets index 0 and one index 1 (0 when the semiring is
+    trivial).  `label(x)` names element x.  The tables go through
+    `make_semiring`, which validates them and checks the labels.
+    """
+    carrier = [zero] + ([one] if one != zero else [])
+    carrier += [x for x in elements if x != zero and x != one]
+    index = {x: i for i, x in enumerate(carrier)}
+    add = [[index[plus(a, b)] for b in carrier] for a in carrier]
+    mul = [[index[times(a, b)] for b in carrier] for a in carrier]
+    return make_semiring(add, mul, 0, index[one], map(label, carrier))
 
 
 def nilpotency_index(S: FiniteSemiring, a: int) -> int | None:

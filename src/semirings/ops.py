@@ -16,15 +16,14 @@ from .core import (
     FiniteSemiring,
     InternalCheckError,
     additive_inverse,
-    canonical_slots,
     element_classes,
     is_nilpotent,
-    make_semiring,
     nilpotency_index,
     noncommuting_pair,
     non_idempotent_element,
     power,
     scalar_repeat,
+    tabulate,
 )
 
 MODE_MULT = "multiplicative"
@@ -394,20 +393,11 @@ def peirce_decompose(S: FiniteSemiring) -> PeirceResult:
     factors: list[FiniteSemiring] = []
     carriers: list[tuple[int, ...]] = []
     for e in primitives:
-        carrier = sorted({S.times(e, s) for s in S.elements})
-        pos = {v: i for i, v in enumerate(carrier)}
-        add = [[pos[S.plus(a, b)] for b in carrier] for a in carrier]
-        mul = [[pos[S.times(a, b)] for b in carrier] for a in carrier]
-        factor = canonical_slots(make_semiring(
-            add, mul, pos[S.zero], pos[e],
-            tuple(S.labels[v] for v in carrier)))
-        # carrier reported in the factor's element order
-        order_map = {factor.labels[i]: i for i in factor.elements}
-        arranged = [0] * len(carrier)
-        for v in carrier:
-            arranged[order_map[S.labels[v]]] = v
-        factors.append(factor)
-        carriers.append(tuple(arranged))
+        # listed in the factor's element order
+        rest = {S.times(e, s) for s in S.elements} - {S.zero, e}
+        carrier = (S.zero, e, *sorted(rest))
+        factors.append(tabulate(carrier, S.plus, S.times, S.zero, e, S.label))
+        carriers.append(carrier)
 
     iso: dict[int, tuple[int, ...]] = {}
     for s in S.elements:

@@ -19,7 +19,7 @@ from .core import (
     DomainError,
     FiniteSemiring,
     InternalCheckError,
-    make_semiring,
+    tabulate,
 )
 
 DEFAULT_UNIVERSE_BOUND = 64
@@ -255,29 +255,26 @@ def _instantiate_axioms(cc: _CongruenceClosure, reps: list[Term],
                              ("+", ("*", a, c), ("*", b, c)))
 
 
-def _build_table(cc: _CongruenceClosure,
-                 generators: tuple[str, ...]) -> tuple[FiniteSemiring, tuple]:
-    zero_root = cc.root_of(ZERO)
-    one_root = cc.root_of(ONE)
-    roots = {cc.find(i) for i in range(len(cc.terms))}
-    rest = sorted((r for r in roots if r not in (zero_root, one_root)),
-                  key=lambda r: _term_key(cc.best[r]))
-    ordered = [zero_root] + ([one_root] if one_root != zero_root else []) + rest
-    index = {r: i for i, r in enumerate(ordered)}
+def _build_table(cc: _CongruenceClosure) -> FiniteSemiring:
+    """The table of the stabilized closure, one element per class, other
+    classes in the order of their least terms."""
+    def op(symbol: str):
+        return lambda ra, rb: cc.root_of((symbol, cc.best[ra], cc.best[rb]))
 
-    def entry(op: str, ra: int, rb: int) -> int:
-        return index[cc.root_of((op, cc.best[ra], cc.best[rb]))]
+    return tabulate([cc.root_of(t) for t in cc.representatives()],
+                    op("+"), op("*"), cc.root_of(ZERO), cc.root_of(ONE),
+                    lambda r: render_term(cc.best[r]))
 
-    add = [[entry("+", ra, rb) for rb in ordered] for ra in ordered]
-    mul = [[entry("*", ra, rb) for rb in ordered] for ra in ordered]
-    labels = tuple(render_term(cc.best[r]) for r in ordered)
-    semiring = make_semiring(add, mul, 0,
-                             index[one_root], labels)
-    collapsed = tuple(
-        (name, render_term(cc.best[cc.root_of(("g", name))]))
-        for name in generators
-        if cc.best[cc.root_of(("g", name))] != ("g", name))
-    return semiring, collapsed
+
+def _collapsed_generators(cc: _CongruenceClosure,
+                          generators: tuple[str, ...]) -> tuple:
+    """Each generator whose class has a smaller least term, with that term."""
+    collapsed = []
+    for name in generators:
+        g = ("g", name)
+        if g in cc.ids and cc.best[cc.root_of(g)] != g:
+            collapsed.append((name, render_term(cc.best[cc.root_of(g)])))
+    return tuple(collapsed)
 
 
 def presentation(generators, relations, additively_idempotent: bool = False,
@@ -317,22 +314,19 @@ def presentation(generators, relations, additively_idempotent: bool = False,
             for lhs, rhs in relation_terms:
                 cc.assert_eq(lhs, rhs)
             if not cc.added_any and not cc.merged_any:
-                semiring, collapsed = _build_table(cc, generators)
+                semiring = _build_table(cc)
                 for lhs, rhs in relation_terms:
                     if cc.root_of(lhs) != cc.root_of(rhs):
                         raise InternalCheckError(
                             "stabilized closure does not satisfy a relation")
-                return PresentationResult(status="finite", semiring=semiring,
-                                          collapsed_generators=collapsed,
-                                          universe_bound=universe_bound)
+                return PresentationResult(
+                    status="finite", semiring=semiring,
+                    collapsed_generators=_collapsed_generators(cc, generators),
+                    universe_bound=universe_bound)
         raise InternalCheckError(
             "presentation closure neither stabilized nor exceeded its bound")
     except _BoundExceeded:
-        collapsed = tuple(
-            (name, render_term(cc.best[cc.root_of(("g", name))]))
-            for name in generators
-            if ("g", name) in cc.ids
-            and cc.best[cc.root_of(("g", name))] != ("g", name))
-        return PresentationResult(status="exceeds-bound", semiring=None,
-                                  collapsed_generators=collapsed,
-                                  universe_bound=universe_bound)
+        return PresentationResult(
+            status="exceeds-bound", semiring=None,
+            collapsed_generators=_collapsed_generators(cc, generators),
+            universe_bound=universe_bound)

@@ -157,6 +157,7 @@ def test_classify_symbolic_models():
     assert report["result"]["idempotents"] == ["0", "1", "x", "y"]
     assert report["result"]["x*y"] == "x"
     assert report["result"]["y*x"] == "y"
+    assert report["result"]["complement_of_x_to_one"] is None
     code, report = run(["classify", "--preset", "nat"])
     assert code == 0
     assert report["result"]["boolean_counterexample"] == "2"
