@@ -81,9 +81,7 @@ def _least_relabeling(tables, n: int, pinned: dict[int, int],
     key is read off whole rows at a time.  While the prefix equals the
     best key's prefix, a larger cell prunes the subtree.  A value that
     every free element gives stays the cell's value under every
-    completion, because labels are only ever added.  Any two labels still
-    unset would meet in a cell, which branches, so a leaf leaves at most
-    one label unset, and its block has one free element left for it.
+    completion, because labels are only ever added.
     """
     perm = [-1] * n
     inv = [-1] * n
@@ -176,14 +174,10 @@ def _least_relabeling(tables, n: int, pinned: dict[int, int],
                 tight = value == best[pos]
             cur[pos] = value
             pos += 1
-        full = list(inv)
-        if -1 in full:
-            label = full.index(-1)
-            full[label] = next(e for e in owner[label] if perm[e] < 0)
         if not tight:
-            best, best_inv = bytearray(cur), full
-        elif [rank[e] for e in full] < [rank[e] for e in best_inv]:
-            best_inv = full
+            best, best_inv = bytearray(cur), list(inv)
+        elif [rank[e] for e in inv] < [rank[e] for e in best_inv]:
+            best_inv = list(inv)
 
     search(1, False)
     best_perm = [0] * n

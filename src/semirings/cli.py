@@ -55,7 +55,7 @@ _EXIT_CODES = {"ok": 0, "confirmed": 0, "vacuous": 0, "absent": 0,
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="semirings",
+        prog="semirings", allow_abbrev=False,
         description="Finite-semiring classification, decomposition and "
                     "theorem checking.")
     common = argparse.ArgumentParser(add_help=False)
@@ -67,33 +67,37 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="emit the report as JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("validate", parents=[common])
-    sub.add_parser("classify", parents=[common])
-    p = sub.add_parser("closure", parents=[common])
+    def command(name: str) -> argparse.ArgumentParser:
+        # `main` spots --json by its full name, so no abbreviations
+        return sub.add_parser(name, parents=[common], allow_abbrev=False)
+
+    command("validate")
+    command("classify")
+    p = command("closure")
     p.add_argument("--mode", choices=("mult", "add"), default="mult")
     p.add_argument("--generators",
                    choices=("idempotents", "nilidempotents"),
                    default="idempotents")
-    p = sub.add_parser("complement", parents=[common])
+    p = command("complement")
     p.add_argument("--element", required=True)
     p.add_argument("--kind", choices=("orthogonal", "nilorthogonal"),
                    default="orthogonal")
-    p = sub.add_parser("decompose", parents=[common])
+    p = command("decompose")
     p.add_argument("--element", required=True)
     p.add_argument("--max-len", type=int, default=2)
-    p = sub.add_parser("lift", parents=[common])
+    p = command("lift")
     p.add_argument("--element", required=True)
-    p = sub.add_parser("invert", parents=[common])
+    p = command("invert")
     p.add_argument("--element", required=True)
-    sub.add_parser("peirce", parents=[common])
-    sub.add_parser("iso", parents=[common])
-    p = sub.add_parser("check", parents=[common])
+    command("peirce")
+    command("iso")
+    p = command("check")
     p.add_argument("--theorem", choices=THEOREM_IDS, required=True)
-    p = sub.add_parser("census", parents=[common])
+    p = command("census")
     p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     p.add_argument("--theorem", choices=THEOREM_IDS + ("all",), default="all")
     p.add_argument("--include-trivial", action="store_true")
-    p = sub.add_parser("build", parents=[common])
+    p = command("build")
     p.add_argument("--out", help="write the document to this path")
     return parser
 

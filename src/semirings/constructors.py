@@ -11,8 +11,8 @@ DEFAULT_MAX_ELEMENTS = 4096
 def _check_size(count: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> None:
     """Refuse a carrier over the cap before any table is built."""
     if count > max_elements:
-        raise DomainError(
-            f"{count} elements exceeds the size cap {max_elements}")
+        n = count if count < 2**60 else f"at least 2^{count.bit_length() - 1}"
+        raise DomainError(f"{n} elements exceeds the size cap {max_elements}")
 
 
 def boolean_semiring() -> FiniteSemiring:

@@ -177,7 +177,7 @@ class FiniteSemiring:
         return {lab: i for i, lab in enumerate(self.labels)}
 
     @cached_property
-    def _class_report(self) -> ClassReport:
+    def _classes(self) -> tuple[ClassReport, list[tuple]]:
         return _classify(self)
 
     def index_of(self, label: str) -> int:
@@ -530,40 +530,72 @@ def power(S: FiniteSemiring, a: int, k: int) -> int:
 
 
 def element_classes(S: FiniteSemiring) -> ClassReport:
-    """Classify every element by exhaustive testing.
+    """Classify every element (see `_classify`).
 
     The report is computed once per semiring and shared by every caller.
     """
-    return S._class_report
+    return S._classes[0]
 
 
-def _classify(S: FiniteSemiring) -> ClassReport:
-    idem = [e for e in S.elements if S.times(e, e) == e]
+def invariant_vectors(S: FiniteSemiring) -> list[tuple]:
+    """Per element: idempotent, nilpotency index (0 if none), additively
+    invertible, unit, and the (tail, cycle) lengths of its additive and
+    multiplicative orbits; computed once, with the class report."""
+    return list(S._classes[1])
+
+
+def _orbit(row, x: int) -> tuple[list[int], int]:
+    """The walk x, row[x], ... up to its first repeat, and its tail length."""
+    seen: dict[int, int] = {}
+    while x not in seen:
+        seen[x] = len(seen)
+        x = row[x]
+    return list(seen), seen[x]
+
+
+def _classify(S: FiniteSemiring) -> tuple[ClassReport, list[tuple]]:
+    """The class report and the invariant vectors, from one walk of the
+    multiples a, 2a, 3a, ... and one of the powers a, a^2, a^3, ... of
+    each element a, each up to its first repeat.
+
+    An identity on an orbit ends it, as the next step returns to a, and so
+    does zero on the powers, being absorbing.  Conversely each element of
+    a finite group has the identity among its powers (Clifford & Preston,
+    The Algebraic Theory of Semigroups I, 1.6), here the group of units of
+    (S, +) or of (S, *).  So a is additively invertible iff its multiples
+    end at zero, a unit iff its powers end at one, nilpotent iff its
+    powers end at zero, of index their number, and idempotent iff its
+    powers are a alone.  The inverse is the element before the identity,
+    (k-1)a when ka = 0 and u^(k-1) when u^k = 1, or a itself when a is
+    the identity.  Inverses are unique, so they are the witnesses that a
+    search for the least index would find.
+    """
     nil_index: dict[int, int] = {}
-    for a in S.elements:
-        k = nilpotency_index(S, a)
-        if k is not None:
-            nil_index[a] = k
-    nilpotents = sorted(nil_index)
-    nilidem = [e for e in S.elements
-               if any(S.times(e, e) == S.plus(e, x) for x in nilpotents)]
     add_inv: dict[int, int] = {}
-    for a in S.elements:
-        b = additive_inverse(S, a)
-        if b is not None:
-            add_inv[a] = b
-    center = [a for a in S.elements
-              if all(S.times(a, b) == S.times(b, a) for b in S.elements)]
     unit_wit: dict[int, int] = {}
-    for u in S.elements:
-        for v in S.elements:
-            if S.times(u, v) == S.one and S.times(v, u) == S.one:
-                unit_wit[u] = v
-                break
+    vectors = []
+    for a in S.elements:
+        multiples, add_tail = _orbit(S.add[a], a)
+        powers, mul_tail = _orbit(S.mul[a], a)
+        # orbit[-2:][0] is the element before the last, or a if alone
+        if multiples[-1] == S.zero:
+            add_inv[a] = multiples[-2:][0]
+        if powers[-1] == S.one:
+            unit_wit[a] = powers[-2:][0]
+        if powers[-1] == S.zero:
+            nil_index[a] = len(powers)
+        vectors.append((len(powers) == 1, nil_index.get(a, 0), a in add_inv,
+                        a in unit_wit, (add_tail, len(multiples) - add_tail),
+                        (mul_tail, len(powers) - mul_tail)))
+    nilidem = [e for e in S.elements
+               if any(S.times(e, e) == S.plus(e, x) for x in nil_index)]
+    idem = [a for a, vector in enumerate(vectors) if vector[0]]
+    center = [a for a, row in enumerate(S.mul)
+              if row == tuple(map(itemgetter(a), S.mul))]
     n = S.order
-    return ClassReport(
+    report = ClassReport(
         idempotents=ElementSet.of(idem, n),
-        nilpotents=ElementSet.of(nilpotents, n),
+        nilpotents=ElementSet.of(nil_index, n),
         nilidempotents=ElementSet.of(nilidem, n),
         additively_invertible=ElementSet.of(add_inv, n),
         additive_inverse_witness=add_inv,
@@ -572,6 +604,7 @@ def _classify(S: FiniteSemiring) -> ClassReport:
         unit_witness=unit_wit,
         nilpotency_index=nil_index,
     )
+    return report, vectors
 
 
 def noncommuting_pair(S: FiniteSemiring) -> tuple[int, int] | None:

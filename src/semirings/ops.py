@@ -10,13 +10,13 @@ from dataclasses import dataclass
 
 from .constructors import boolean_semiring, zmod
 from .core import (
-    ClassReport,
     DomainError,
     ElementSet,
     FiniteSemiring,
     InternalCheckError,
     additive_inverse,
     element_classes,
+    invariant_vectors,
     is_nilpotent,
     nilpotency_index,
     noncommuting_pair,
@@ -234,10 +234,9 @@ def orthogonal_decompositions(S: FiniteSemiring, b: int,
     of size up to max_len, as sorted tuples in canonical order."""
     if max_len < 1:
         raise DomainError("max_len must be at least 1")
-    idems = [e for e in S.elements
-             if S.times(e, e) == e and e != S.zero]
+    idems = [e for e in element_classes(S).idempotents if e != S.zero]
     found: list[tuple[int, ...]] = []
-    for r in range(1, max_len + 1):
+    for r in range(1, min(max_len, len(idems)) + 1):
         for combo in itertools.combinations(idems, r):
             if any(S.times(u, v) != S.zero or S.times(v, u) != S.zero
                    for u, v in itertools.combinations(combo, 2)):
@@ -248,8 +247,7 @@ def orthogonal_decompositions(S: FiniteSemiring, b: int,
 
 
 def _lift_cap(S: FiniteSemiring, z: int) -> int:
-    nu = nilpotency_index(S, z)
-    assert nu is not None
+    nu = element_classes(S).nilpotency_index[z]
     # ceil(log2(nu)) + 2; the defect shrinks as z^(2^k) * s per iteration.
     return max(0, (nu - 1).bit_length()) + 2
 
@@ -355,11 +353,9 @@ def _classify_factor(F: FiniteSemiring) -> str:
         return FACTOR_ISO_BOOL
     if isomorphic(F, zmod(2)) is not None:
         return FACTOR_ISO_Z2
-    nontrivial = [e for e in F.elements
-                  if F.times(e, e) == e and e not in (F.zero, F.one)]
-    if not nontrivial:
-        return FACTOR_NO_NONTRIVIAL_IDEMPOTENTS
-    return FACTOR_OTHER
+    if len(element_classes(F).idempotents) > 2:  # more than zero and one
+        return FACTOR_OTHER
+    return FACTOR_NO_NONTRIVIAL_IDEMPOTENTS
 
 
 def peirce_decompose(S: FiniteSemiring) -> PeirceResult:
@@ -425,33 +421,6 @@ def peirce_decompose(S: FiniteSemiring) -> PeirceResult:
     return PeirceResult(primitives=tuple(primitives), factors=tuple(factors),
                         carriers=tuple(carriers), iso=iso,
                         factor_classification=classification)
-
-
-def _invariant_vector(S: FiniteSemiring, a: int,
-                      classes: ClassReport) -> tuple:
-    def orbit_profile(step):
-        seen: dict[int, int] = {}
-        x = a
-        i = 0
-        while x not in seen:
-            seen[x] = i
-            x = step(x)
-            i += 1
-        return (seen[x], i - seen[x])  # (tail length, cycle length)
-
-    return (
-        a in classes.idempotents,
-        classes.nilpotency_index.get(a, 0),
-        a in classes.additively_invertible,
-        a in classes.units,
-        orbit_profile(lambda x: S.plus(x, a)),
-        orbit_profile(lambda x: S.times(x, a)),
-    )
-
-
-def invariant_vectors(S: FiniteSemiring) -> list[tuple]:
-    classes = element_classes(S)
-    return [_invariant_vector(S, a, classes) for a in S.elements]
 
 
 def isomorphic(S: FiniteSemiring, T: FiniteSemiring) -> tuple[int, ...] | None:

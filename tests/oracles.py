@@ -11,16 +11,19 @@ from __future__ import annotations
 import itertools
 
 from semirings import (
+    ClassReport,
+    ElementSet,
     FiniteSemiring,
+    additive_inverse,
     boolean_semiring,
     make_semiring,
     matrix_semiring,
+    nilpotency_index,
     poly_quotient,
     triangular_semiring,
     validate,
     zmod,
 )
-from semirings.ops import invariant_vectors
 
 
 def closure_by_sets(S: FiniteSemiring, generators, op_name: str) -> frozenset:
@@ -99,6 +102,77 @@ def axiom_violations(add, mul, zero: int, one: int) -> list[tuple]:
     return bad
 
 
+def classify_brute(S: FiniteSemiring) -> ClassReport:
+    """The class report by separate exhaustive searches: the power sweep
+    of `nilpotency_index`, the smallest-index scan of `additive_inverse`
+    and a scan of every pair for two-sided unit inverses."""
+    idem = [e for e in S.elements if S.times(e, e) == e]
+    nil_index: dict[int, int] = {}
+    for a in S.elements:
+        k = nilpotency_index(S, a)
+        if k is not None:
+            nil_index[a] = k
+    nilpotents = sorted(nil_index)
+    nilidem = [e for e in S.elements
+               if any(S.times(e, e) == S.plus(e, x) for x in nilpotents)]
+    add_inv: dict[int, int] = {}
+    for a in S.elements:
+        b = additive_inverse(S, a)
+        if b is not None:
+            add_inv[a] = b
+    center = [a for a in S.elements
+              if all(S.times(a, b) == S.times(b, a) for b in S.elements)]
+    unit_wit: dict[int, int] = {}
+    for u in S.elements:
+        for v in S.elements:
+            if S.times(u, v) == S.one and S.times(v, u) == S.one:
+                unit_wit[u] = v
+                break
+    n = S.order
+    return ClassReport(
+        idempotents=ElementSet.of(idem, n),
+        nilpotents=ElementSet.of(nilpotents, n),
+        nilidempotents=ElementSet.of(nilidem, n),
+        additively_invertible=ElementSet.of(add_inv, n),
+        additive_inverse_witness=add_inv,
+        center=ElementSet.of(center, n),
+        units=ElementSet.of(unit_wit, n),
+        unit_witness=unit_wit,
+        nilpotency_index=nil_index,
+    )
+
+
+def _invariant_vector(S: FiniteSemiring, a: int,
+                      classes: ClassReport) -> tuple:
+    def orbit_profile(step):
+        seen: dict[int, int] = {}
+        x = a
+        i = 0
+        while x not in seen:
+            seen[x] = i
+            x = step(x)
+            i += 1
+        return (seen[x], i - seen[x])  # (tail length, cycle length)
+
+    return (
+        a in classes.idempotents,
+        classes.nilpotency_index.get(a, 0),
+        a in classes.additively_invertible,
+        a in classes.units,
+        orbit_profile(lambda x: S.plus(x, a)),
+        orbit_profile(lambda x: S.times(x, a)),
+    )
+
+
+def invariant_vectors_brute(S: FiniteSemiring) -> list[tuple]:
+    """Per element: idempotent, nilpotency index (0 if none), additively
+    invertible, unit, and the (tail, cycle) lengths of its additive and
+    multiplicative orbits, each orbit walked again from scratch over the
+    class report of `classify_brute`."""
+    classes = classify_brute(S)
+    return [_invariant_vector(S, a, classes) for a in S.elements]
+
+
 def nilpotent_by_long_sweep(S: FiniteSemiring, a: int) -> int | None:
     """Nilpotency via a 2*order power sweep, twice the claimed exact bound."""
     x = a
@@ -153,7 +227,7 @@ def least_relabeling_brute(tables, n: int, pinned: dict[int, int],
 def canonical_search_brute(S: FiniteSemiring) -> tuple[bytes, list[int]]:
     """The canonical key and permutation by `least_relabeling_brute`, with
     zero pinned at 0, one at 1 and the rest in invariant-vector blocks."""
-    vecs = invariant_vectors(S)
+    vecs = invariant_vectors_brute(S)
     pinned = {S.zero: 0}
     if S.one != S.zero:
         pinned[S.one] = 1

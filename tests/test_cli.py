@@ -12,7 +12,7 @@ from semirings import (
     serialize_semiring,
 )
 from semirings.cli import _EXIT_CODES, emit_report, main, run
-from semirings.fileformat import ParseError
+from semirings.fileformat import ParseError, parse_semiring_tables
 
 ROUND_TRIP_PRESETS = ["bool", "zmod:4", "t2b", "m2z2", "z2x-sq", "z3x-sqm1",
                       "bxy-presentation", "product:bool,bool",
@@ -101,6 +101,46 @@ def test_axiom_violation_in_file_is_reported():
 def test_unbalanced_bracket_token():
     with pytest.raises(ParseError):
         parse_semiring_file("order 1\nelements [0\nzero [0\none [0\n")
+
+
+BOOLEAN_LINES = ["order 2", "elements 0 1", "zero 0", "one 1",
+                 "add", "0 1", "1 1", "mul", "0 0", "0 1"]
+
+
+def _boolean_file_with(line: int, text: str) -> str:
+    """The boolean semiring's file with its 1-based line `line` replaced by
+    `text` (appended when line is past the end)."""
+    lines = BOOLEAN_LINES[:line - 1] + [text] + BOOLEAN_LINES[line:]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("line,text,position", [
+    (1, "size 2", (1, 1)),
+    (1, "order two", (1, 7)),
+    (1, "order 0", (1, 7)),
+    (2, "  labels 0 1", (2, 3)),
+    (2, "elements 0 1 2", (2, 1)),
+    (3, "zero 0 1", (3, 1)),
+    (4, "  one", (4, 3)),
+    (5, "add 0", (5, 1)),
+    (8, "mull", (8, 1)),
+    (11, "  extra", (11, 3)),
+], ids=["order-line", "order-not-integer", "order-not-positive",
+        "elements-missing", "label-count", "zero-line", "one-line",
+        "add-keyword", "mul-keyword", "trailing-content"])
+def test_structure_errors_are_positioned(line, text, position):
+    with pytest.raises(ParseError) as err:
+        parse_semiring_tables(_boolean_file_with(line, text))
+    assert (err.value.line, err.value.col) == position
+
+
+def test_structure_error_in_validate_file_is_reported(tmp_path):
+    path = tmp_path / "bad.sr"
+    path.write_text(_boolean_file_with(1, "order 0"))
+    code, report = run(["validate", "--file", str(path)])
+    assert code == 1 and report["verdict"] == "error"
+    assert report["result"] == {"error": "line 1, col 7: order must be positive",
+                                "kind": "ParseError"}
 
 
 # ------------------------------------------------------------ CLI contract
@@ -259,7 +299,17 @@ def test_unknown_preset_is_a_usage_error(argv):
 def test_preset_over_the_size_cap_is_an_error():
     code, report = run(["classify", "--preset", "zmod:5000", "--json"])
     assert code == 1 and report["verdict"] == "error"
-    assert "size cap" in report["result"]["error"]
+    assert report["result"]["error"] == \
+        "5000 elements exceeds the size cap 4096"
+
+
+@pytest.mark.parametrize("preset", ["matrix:bool,120", "triangular:bool,170"])
+def test_size_cap_message_of_a_huge_count_is_short(preset):
+    code, report = run(["classify", "--preset", preset])
+    assert code == 1 and report["verdict"] == "error"
+    message = report["result"]["error"]
+    assert "exceeds the size cap 4096" in message and len(message) < 200
+    assert report["result"]["kind"] == "DomainError"
 
 
 def test_missing_file_is_an_error(tmp_path):
@@ -297,6 +347,16 @@ def test_help_exits_zero_with_only_the_help(argv, capsys):
     out = capsys.readouterr().out
     assert out.startswith("usage: semirings")
     assert "verdict" not in out and "usage error" not in out
+
+
+@pytest.mark.parametrize("argv", [["classify", "--preset", "bool", "--js"],
+                                  ["census", "--max-ord", "2"]],
+                         ids=["js", "max-ord"])
+def test_abbreviated_options_are_usage_errors(argv, capsys):
+    code, report = run(argv)
+    assert code == 1 and report["result"] == {"error": "usage error"}
+    assert main(argv) == 1
+    assert "verdict: error" in capsys.readouterr().out
 
 
 def test_usage_error_still_reports(capsys):

@@ -210,6 +210,11 @@ def test_decompositions_of_identity_matrix(t2b):
     assert ("[1 0;0 0]", "[0 0;0 1]") in rendered
 
 
+def test_decompositions_stop_at_the_idempotent_count():
+    # longer sets of distinct nonzero idempotents do not exist
+    assert orthogonal_decompositions(zmod(6), 1, 10**9) == [(1,), (3, 4)]
+
+
 def test_decompositions_members_verify(z3x):
     for d in orthogonal_decompositions(z3x, z3x.one, 3):
         assert z3x.sum(d) == z3x.one
@@ -281,6 +286,18 @@ def test_invert_zero_gives_one(name, S):
 
 def test_invert_in_zmod4(z4):
     assert invert_unipotent(z4, 2) == 3
+
+
+@pytest.mark.parametrize("modulus,x,inverse",
+                         [(8, 2, 3), (16, 2, 11), (27, 3, 7), (32, 2, 11)])
+def test_invert_telescopes_over_several_factors(modulus, x, inverse):
+    S = zmod(modulus)
+    assert element_classes(S).nilpotency_index[x] >= 3
+    u = S.plus(S.one, x)
+    two_sided = [v for v in S.elements
+                 if S.times(u, v) == S.one and S.times(v, u) == S.one]
+    assert two_sided == [inverse]
+    assert invert_unipotent(S, x) == inverse
 
 
 def test_invert_postcondition_everywhere():
