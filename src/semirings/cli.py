@@ -368,6 +368,8 @@ def _dispatch(args) -> tuple[str, dict, dict]:
         return verdict, descriptor, _theorem_payload(S, report)
 
     if args.command == "census":
+        if args.max_order < 1:
+            raise DomainError(f"max order {args.max_order} is below 1")
         theorem_ids = THEOREM_IDS if args.theorem == "all" else (args.theorem,)
         report = scan(range(1, args.max_order + 1), theorem_ids,
                       include_trivial=args.include_trivial)

@@ -478,23 +478,12 @@ def tabulate(elements, plus, times, zero, one, label) -> FiniteSemiring:
 
 
 def nilpotency_index(S: FiniteSemiring, a: int) -> int | None:
-    """Smallest k with a^k = 0, or None.
-
-    The power sequence a, a^2, ... takes values in a carrier of size
-    `order`, so it enters its cycle within `order` steps; zero, being
-    multiplicatively absorbing, appears among the first `order` powers or
-    not at all.
-    """
-    x = a
-    for k in range(1, S.order + 1):
-        if x == S.zero:
-            return k
-        x = S.times(x, a)
-    return None
+    """Smallest k with a^k = 0, or None; read off the class report."""
+    return element_classes(S).nilpotency_index.get(a)
 
 
 def is_nilpotent(S: FiniteSemiring, a: int) -> bool:
-    return nilpotency_index(S, a) is not None
+    return a in element_classes(S).nilpotents
 
 
 def scalar_repeat(S: FiniteSemiring, n: int, a: int) -> int:
@@ -508,11 +497,9 @@ def scalar_repeat(S: FiniteSemiring, n: int, a: int) -> int:
 
 
 def additive_inverse(S: FiniteSemiring, a: int) -> int | None:
-    """Smallest-index b with a + b = 0, or None."""
-    for b in S.elements:
-        if S.plus(a, b) == S.zero:
-            return b
-    return None
+    """The b with a + b = 0, or None, read off the class report; being
+    unique, it is also the smallest-index such b."""
+    return element_classes(S).additive_inverse_witness.get(a)
 
 
 def power(S: FiniteSemiring, a: int, k: int) -> int:
@@ -608,11 +595,12 @@ def _classify(S: FiniteSemiring) -> tuple[ClassReport, list[tuple]]:
 
 
 def noncommuting_pair(S: FiniteSemiring) -> tuple[int, int] | None:
-    for a in S.elements:
-        for b in S.elements:
-            if S.times(a, b) != S.times(b, a):
-                return (a, b)
-    return None
+    """The first (a, b) in index order with ab != ba, or None; a is the
+    least element outside the centre."""
+    a = min(element_classes(S).center.complement(), default=None)
+    if a is None:
+        return None
+    return next((a, b) for b in S.elements if S.mul[a][b] != S.mul[b][a])
 
 
 def is_commutative(S: FiniteSemiring) -> bool:
@@ -620,10 +608,8 @@ def is_commutative(S: FiniteSemiring) -> bool:
 
 
 def non_idempotent_element(S: FiniteSemiring) -> int | None:
-    for a in S.elements:
-        if S.times(a, a) != a:
-            return a
-    return None
+    """The least element a with a*a != a, or None."""
+    return min(element_classes(S).idempotents.complement(), default=None)
 
 
 def is_boolean(S: FiniteSemiring) -> bool:

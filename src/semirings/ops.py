@@ -8,7 +8,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .constructors import boolean_semiring, zmod
 from .core import (
     DomainError,
     ElementSet,
@@ -186,15 +185,15 @@ def generation_certificate(S: FiniteSemiring, mode: str,
 
 
 def _require_idempotent(S: FiniteSemiring, e: int) -> None:
-    if S.times(e, e) != e:
+    if e not in element_classes(S).idempotents:
         raise DomainError(f"element {S.labels[e]!r} is not idempotent")
 
 
 def orthogonal_complement(S: FiniteSemiring, e: int) -> ComplementWitness | None:
     """Smallest-index idempotent f with e + f = 1 and ef = fe = 0."""
     _require_idempotent(S, e)
-    for f in S.elements:
-        if (S.times(f, f) == f and S.plus(e, f) == S.one
+    for f in element_classes(S).idempotents:
+        if (S.plus(e, f) == S.one
                 and S.times(e, f) == S.zero and S.times(f, e) == S.zero):
             return ComplementWitness(e=e, f=f, kind="orthogonal", x=S.zero)
     return None
@@ -202,9 +201,7 @@ def orthogonal_complement(S: FiniteSemiring, e: int) -> ComplementWitness | None
 
 def _nilorth_candidates(S: FiniteSemiring, e: int):
     classes = element_classes(S)
-    for f in S.elements:
-        if f not in classes.nilidempotents:
-            continue
+    for f in classes.nilidempotents:
         if S.times(e, f) not in classes.nilpotents:
             continue
         if S.times(f, e) not in classes.nilpotents:
@@ -231,18 +228,27 @@ def nilorthogonal_complements(S: FiniteSemiring, e: int) -> list[ComplementWitne
 def orthogonal_decompositions(S: FiniteSemiring, b: int,
                               max_len: int) -> list[tuple[int, ...]]:
     """All sets of nonzero mutually orthogonal idempotents summing to b,
-    of size up to max_len, as sorted tuples in canonical order."""
+    of size up to max_len, as sorted tuples by size, then lexicographically.
+
+    A set grows only by later idempotents orthogonal to all its members, so
+    only orthogonal sets are visited, in lexicographic order."""
     if max_len < 1:
         raise DomainError("max_len must be at least 1")
-    idems = [e for e in element_classes(S).idempotents if e != S.zero]
     found: list[tuple[int, ...]] = []
-    for r in range(1, min(max_len, len(idems)) + 1):
-        for combo in itertools.combinations(idems, r):
-            if any(S.times(u, v) != S.zero or S.times(v, u) != S.zero
-                   for u, v in itertools.combinations(combo, 2)):
-                continue
-            if S.sum(combo) == b:
-                found.append(combo)
+
+    def extend(chosen: tuple[int, ...], total: int, later: list[int]) -> None:
+        # later: the idempotents after chosen[-1] orthogonal to all of chosen
+        for i, e in enumerate(later):
+            grown, grown_total = chosen + (e,), S.plus(total, e)
+            if grown_total == b:
+                found.append(grown)
+            if len(grown) < max_len:
+                extend(grown, grown_total,
+                       [f for f in later[i + 1:] if S.times(e, f) == S.zero
+                        and S.times(f, e) == S.zero])
+
+    extend((), S.zero, [e for e in element_classes(S).idempotents if e != S.zero])
+    found.sort(key=len)
     return found
 
 
@@ -349,10 +355,10 @@ FACTOR_OTHER = "other"
 
 
 def _classify_factor(F: FiniteSemiring) -> str:
-    if isomorphic(F, boolean_semiring()) is not None:
-        return FACTOR_ISO_BOOL
-    if isomorphic(F, zmod(2)) is not None:
-        return FACTOR_ISO_Z2
+    """The Boolean semiring and Z/2 are the semirings of order 2: zero and
+    one fix the multiplication, and 1 + 1 is one or zero."""
+    if F.order == 2:
+        return FACTOR_ISO_BOOL if F.plus(F.one, F.one) == F.one else FACTOR_ISO_Z2
     if len(element_classes(F).idempotents) > 2:  # more than zero and one
         return FACTOR_OTHER
     return FACTOR_NO_NONTRIVIAL_IDEMPOTENTS
@@ -371,7 +377,7 @@ def peirce_decompose(S: FiniteSemiring) -> PeirceResult:
         a, b = pair
         raise DomainError(
             f"not commutative: {S.labels[a]!r} and {S.labels[b]!r} do not commute")
-    idems = [e for e in S.elements if S.times(e, e) == e]
+    idems = element_classes(S).idempotents
     for e in idems:
         if orthogonal_complement(S, e) is None:
             raise DomainError(
@@ -497,33 +503,24 @@ def isomorphic(S: FiniteSemiring, T: FiniteSemiring) -> tuple[int, ...] | None:
 
 
 def idempotent_without_orthogonal_complement(S: FiniteSemiring) -> int | None:
-    for e in S.elements:
-        if S.times(e, e) == e and orthogonal_complement(S, e) is None:
-            return e
-    return None
+    return next((e for e in element_classes(S).idempotents
+                 if orthogonal_complement(S, e) is None), None)
 
 
 def idempotent_without_nilorthogonal_complement(S: FiniteSemiring) -> int | None:
-    for e in S.elements:
-        if S.times(e, e) == e and next(_nilorth_candidates(S, e), None) is None:
-            return e
-    return None
+    return next((e for e in element_classes(S).idempotents
+                 if next(_nilorth_candidates(S, e), None) is None), None)
 
 
 def nilpotent_outside_center(S: FiniteSemiring) -> int | None:
     classes = element_classes(S)
-    for x in classes.nilpotents:
-        if x not in classes.center:
-            return x
-    return None
+    return min(classes.nilpotents.difference(classes.center), default=None)
 
 
 def nilpotent_outside_v_and_z(S: FiniteSemiring) -> int | None:
     classes = element_classes(S)
-    for x in classes.nilpotents:
-        if x not in classes.additively_invertible or x not in classes.center:
-            return x
-    return None
+    v_and_z = classes.additively_invertible.intersection(classes.center)
+    return min(classes.nilpotents.difference(v_and_z), default=None)
 
 
 def _ungenerated(S: FiniteSemiring, mode: str, generator_class: str) -> int | None:

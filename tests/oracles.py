@@ -14,11 +14,9 @@ from semirings import (
     ClassReport,
     ElementSet,
     FiniteSemiring,
-    additive_inverse,
     boolean_semiring,
     make_semiring,
     matrix_semiring,
-    nilpotency_index,
     poly_quotient,
     triangular_semiring,
     validate,
@@ -102,14 +100,20 @@ def axiom_violations(add, mul, zero: int, one: int) -> list[tuple]:
     return bad
 
 
+def additive_inverse_by_scan(S: FiniteSemiring, a: int) -> int | None:
+    """Smallest-index b with a + b = 0, or None."""
+    return next((b for b in S.elements if S.plus(a, b) == S.zero), None)
+
+
 def classify_brute(S: FiniteSemiring) -> ClassReport:
     """The class report by separate exhaustive searches: the power sweep
-    of `nilpotency_index`, the smallest-index scan of `additive_inverse`
-    and a scan of every pair for two-sided unit inverses."""
+    of `nilpotent_by_long_sweep`, the smallest-index scan of
+    `additive_inverse_by_scan` and a scan of every pair for two-sided unit
+    inverses."""
     idem = [e for e in S.elements if S.times(e, e) == e]
     nil_index: dict[int, int] = {}
     for a in S.elements:
-        k = nilpotency_index(S, a)
+        k = nilpotent_by_long_sweep(S, a)
         if k is not None:
             nil_index[a] = k
     nilpotents = sorted(nil_index)
@@ -117,7 +121,7 @@ def classify_brute(S: FiniteSemiring) -> ClassReport:
                if any(S.times(e, e) == S.plus(e, x) for x in nilpotents)]
     add_inv: dict[int, int] = {}
     for a in S.elements:
-        b = additive_inverse(S, a)
+        b = additive_inverse_by_scan(S, a)
         if b is not None:
             add_inv[a] = b
     center = [a for a in S.elements
@@ -181,6 +185,100 @@ def nilpotent_by_long_sweep(S: FiniteSemiring, a: int) -> int | None:
             return k
         x = S.times(x, a)
     return None
+
+
+def noncommuting_pair_brute(S: FiniteSemiring) -> tuple[int, int] | None:
+    """First (a, b) in row-major order with ab != ba, by a scan of every
+    pair."""
+    for a in S.elements:
+        for b in S.elements:
+            if S.times(a, b) != S.times(b, a):
+                return (a, b)
+    return None
+
+
+def non_idempotent_element_brute(S: FiniteSemiring) -> int | None:
+    return next((a for a in S.elements if S.times(a, a) != a), None)
+
+
+def orthogonal_complement_brute(S: FiniteSemiring, e: int) -> int | None:
+    """Smallest-index f with ff = f, e + f = 1 and ef = fe = 0."""
+    for f in S.elements:
+        if (S.times(f, f) == f and S.plus(e, f) == S.one
+                and S.times(e, f) == S.zero and S.times(f, e) == S.zero):
+            return f
+    return None
+
+
+def idempotent_without_orthogonal_complement_brute(S: FiniteSemiring) -> int | None:
+    for e in S.elements:
+        if S.times(e, e) == e and orthogonal_complement_brute(S, e) is None:
+            return e
+    return None
+
+
+def nilorthogonal_complements_brute(S: FiniteSemiring,
+                                    e: int) -> list[tuple[int, int]]:
+    """Every (f, x) in index order with f nilidempotent, x nilpotent,
+    e + f = 1 + x and ef, fe nilpotent; classes from `classify_brute`."""
+    classes = classify_brute(S)
+    nil = classes.nilpotents
+    return [(f, x) for f in S.elements if f in classes.nilidempotents
+            and S.times(e, f) in nil and S.times(f, e) in nil
+            for x in nil if S.plus(S.one, x) == S.plus(e, f)]
+
+
+def idempotent_without_nilorthogonal_complement_brute(
+        S: FiniteSemiring) -> int | None:
+    for e in S.elements:
+        if S.times(e, e) == e and not nilorthogonal_complements_brute(S, e):
+            return e
+    return None
+
+
+def nilpotent_outside_center_brute(S: FiniteSemiring) -> int | None:
+    classes = classify_brute(S)
+    for x in classes.nilpotents:
+        if x not in classes.center:
+            return x
+    return None
+
+
+def nilpotent_outside_v_and_z_brute(S: FiniteSemiring) -> int | None:
+    classes = classify_brute(S)
+    for x in classes.nilpotents:
+        if x not in classes.additively_invertible or x not in classes.center:
+            return x
+    return None
+
+
+def classify_factor_brute(F: FiniteSemiring) -> str:
+    """The Peirce factor class by comparing canonical keys of
+    `canonical_search_brute` with the Boolean semiring's and Z/2's, then
+    counting idempotents by a scan."""
+    for name, T in (("iso-to-bool", boolean_semiring()), ("iso-to-z2", zmod(2))):
+        if (F.order == T.order and canonical_search_brute(F)[0]
+                == canonical_search_brute(T)[0]):
+            return name
+    if sum(F.times(e, e) == e for e in F.elements) > 2:
+        return "other"
+    return "other-no-nontrivial-idempotents"
+
+
+def orthogonal_decompositions_brute(
+        S: FiniteSemiring, max_len: int) -> dict[int, list[tuple[int, ...]]]:
+    """For every b, the sets of nonzero mutually orthogonal idempotents
+    summing to b, of size up to max_len, by size then lexicographically:
+    every subset of each size is tried and tested pair by pair."""
+    idems = [e for e in S.elements if e != S.zero and S.times(e, e) == e]
+    found: dict[int, list[tuple[int, ...]]] = {b: [] for b in S.elements}
+    for r in range(1, min(max_len, len(idems)) + 1):
+        for combo in itertools.combinations(idems, r):
+            if any(S.times(u, v) != S.zero or S.times(v, u) != S.zero
+                   for u, v in itertools.combinations(combo, 2)):
+                continue
+            found[S.sum(combo)].append(combo)
+    return found
 
 
 def _flatten(tables, n: int, perm: list[int]) -> bytes:

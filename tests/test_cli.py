@@ -1,8 +1,13 @@
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import semirings
+from oracles import orthogonal_decompositions_brute
 from semirings import (
     SemiringError,
     boolean_semiring,
@@ -183,6 +188,29 @@ def test_census_command():
     assert report["result"]["counts"] == {"1": 0, "2": 2}
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_census_rejects_a_max_order_below_one(value):
+    code, report = run(["census", "--max-order", value])
+    assert code == 1 and report["verdict"] == "error"
+    assert report["result"] == {"error": f"max order {value} is below 1",
+                                "kind": "DomainError"}
+
+
+def test_the_cli_imports_only_the_standard_library():
+    # -S keeps site-packages off the path
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "import semirings.cli; print(*sys.modules)")
+    src = Path(semirings.__file__).parents[1]
+    loaded = subprocess.run([sys.executable, "-S", "-c", probe, str(src)],
+                            capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert "semirings.cli" in loaded
+    foreign = [m for m in loaded if m != "__main__"
+               and m.partition(".")[0] not in sys.stdlib_module_names
+               and m.partition(".")[0] != "semirings"]
+    assert foreign == []
+
+
 def test_classify_counts_idempotents():
     code, report = run(["classify", "--preset", "t2b"])
     assert code == 0
@@ -229,6 +257,19 @@ def test_decompose_command():
                         "--element", "1", "--max-len", "2"])
     assert code == 0
     assert ["2+x", "2+2x"] in report["result"]["decompositions"]
+
+
+def test_decompose_cost_follows_the_answer():
+    # every 10-subset of the 40 nonzero idempotents would take hours
+    one = "[1 0 0;0 1 0;0 0 1]"
+    code, report = run(["decompose", "--preset", "triangular:bool,3",
+                        "--element", one, "--max-len", "10"])
+    assert code == 0
+    S = from_preset("triangular:bool,3")
+    want = [[S.labels[e] for e in d]
+            for d in orthogonal_decompositions_brute(S, 4)[S.index_of(one)]]
+    assert len(want) == 5
+    assert report["result"]["decompositions"] == want
 
 
 def test_peirce_command():

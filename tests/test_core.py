@@ -26,6 +26,7 @@ from semirings import core
 from semirings.core import AxiomReport, DomainError
 
 from oracles import (
+    additive_inverse_by_scan,
     axiom_sweep,
     axiom_violations,
     fixture_semirings,
@@ -369,7 +370,8 @@ def test_additive_inverse_examples(z2x, bool_sr):
 def test_additive_inverse_matches_class_report(name, S):
     witness = element_classes(S).additive_inverse_witness
     for a in S.elements:
-        assert additive_inverse(S, a) == witness.get(a)
+        assert additive_inverse(S, a) == witness.get(a) == \
+            additive_inverse_by_scan(S, a)
 
 
 def test_power_examples(bool_sr, t2b):

@@ -1,9 +1,13 @@
-"""Element classes and invariant vectors against the exhaustive oracles.
+"""Element classes, invariant vectors and the element-level queries
+against the exhaustive oracles.
 
 The library reads every class and both orbit profiles off one walk of
 each element's two orbits; `classify_brute` and `invariant_vectors_brute`
 search for each fact separately.  They must agree field for field, in
-the key order of every witness dict, and vector for vector.
+the key order of every witness dict, and vector for vector.  The queries
+that read the cached classes (nilpotency, inverses, commutativity,
+complements, the clause finders, decompositions, Peirce factor classes)
+must give the witnesses of the oracles' own scans.
 """
 
 import random
@@ -13,17 +17,48 @@ from functools import cache
 import pytest
 
 import semirings.core as core
-from oracles import classify_brute, invariant_vectors_brute
+from oracles import (
+    additive_inverse_by_scan,
+    classify_brute,
+    classify_factor_brute,
+    idempotent_without_nilorthogonal_complement_brute,
+    idempotent_without_orthogonal_complement_brute,
+    invariant_vectors_brute,
+    nilorthogonal_complements_brute,
+    nilpotent_by_long_sweep,
+    nilpotent_outside_center_brute,
+    nilpotent_outside_v_and_z_brute,
+    non_idempotent_element_brute,
+    noncommuting_pair_brute,
+    orthogonal_complement_brute,
+    orthogonal_decompositions_brute,
+)
 from semirings import (
     ClassReport,
+    DomainError,
+    additive_inverse,
     canonical_form,
     element_classes,
     enumerate_semirings,
     from_preset,
+    is_nilpotent,
     isomorphic,
+    nilpotency_index,
     reindex,
 )
-from semirings.ops import invariant_vectors
+from semirings.ops import (
+    _classify_factor,
+    idempotent_without_nilorthogonal_complement,
+    idempotent_without_orthogonal_complement,
+    invariant_vectors,
+    nilpotent_outside_center,
+    nilpotent_outside_v_and_z,
+    nilorthogonal_complements,
+    non_idempotent_element,
+    noncommuting_pair,
+    orthogonal_complement,
+    orthogonal_decompositions,
+)
 
 # The presets of the build and canon benchmark workloads.
 BUILD_PRESETS = ("matrix:zmod:3,2", "triangular:bool,3", "zmod:64", "zmod:100",
@@ -33,7 +68,8 @@ CANON_PRESETS = ("m2z2", "product:t2b,zmod:2", "product:z3x-sqm1,bool",
                  "product:zmod:4,zmod:4", "product:z2x-sq,z2x-sq")
 CATALOG = tuple(f"catalog:{order}:{i}" for order in range(1, 5)
                 for i in range(len(enumerate_semirings(order))))
-CASES = CATALOG + BUILD_PRESETS + CANON_PRESETS + ("zmod:8", "zmod:12")
+QUERY_CASES = CATALOG + BUILD_PRESETS + CANON_PRESETS
+CASES = QUERY_CASES + ("zmod:8", "zmod:12")
 
 
 @cache
@@ -83,3 +119,41 @@ def test_invariant_vectors_are_a_fresh_list():
     S = from_preset("zmod:6")
     invariant_vectors(S).clear()
     assert len(invariant_vectors(S)) == 6
+
+
+@pytest.mark.parametrize("name", QUERY_CASES)
+def test_element_queries_match_the_oracle_scans(name):
+    for S in _variants(_semiring(name)):
+        for a in S.elements:
+            k = nilpotent_by_long_sweep(S, a)
+            assert nilpotency_index(S, a) == k
+            assert is_nilpotent(S, a) == (k is not None)
+            assert additive_inverse(S, a) == additive_inverse_by_scan(S, a)
+        assert noncommuting_pair(S) == noncommuting_pair_brute(S)
+        assert non_idempotent_element(S) == non_idempotent_element_brute(S)
+        assert idempotent_without_orthogonal_complement(S) == \
+            idempotent_without_orthogonal_complement_brute(S)
+        assert idempotent_without_nilorthogonal_complement(S) == \
+            idempotent_without_nilorthogonal_complement_brute(S)
+        assert nilpotent_outside_center(S) == nilpotent_outside_center_brute(S)
+        assert nilpotent_outside_v_and_z(S) == nilpotent_outside_v_and_z_brute(S)
+        assert _classify_factor(S) == classify_factor_brute(S)
+        for e in S.elements:
+            if S.times(e, e) != e:
+                with pytest.raises(DomainError):
+                    orthogonal_complement(S, e)
+                continue
+            witness = orthogonal_complement(S, e)
+            f = orthogonal_complement_brute(S, e)
+            assert (None if witness is None else witness.f) == f
+            assert [(w.f, w.x) for w in nilorthogonal_complements(S, e)] == \
+                nilorthogonal_complements_brute(S, e)
+
+
+@pytest.mark.parametrize("name", QUERY_CASES)
+def test_orthogonal_decompositions_match_the_subset_search(name):
+    for S in _variants(_semiring(name)):
+        for max_len in range(1, 5):
+            want = orthogonal_decompositions_brute(S, max_len)
+            for b in S.elements:
+                assert orthogonal_decompositions(S, b, max_len) == want[b]
