@@ -12,8 +12,9 @@ cell and prunes every partial relabeling whose prefix is already larger,
 so it reaches the same key, and on ties the same permutation, as trying
 every relabeling would.
 
-A scan evaluates every clause of the theorem table once per semiring and
-reads both the theorem verdicts and the entry flags off those clauses.
+A scan judges each theorem with `ops.check_theorem` and reads the entry
+flags off the same clause checks, which `ops.check_clause` evaluates once
+per semiring, so every clause of `ops.CLAUSES` runs once per entry.
 """
 
 from __future__ import annotations
@@ -23,20 +24,12 @@ from dataclasses import dataclass
 from .core import DomainError, FiniteSemiring, make_semiring, reindex
 from .fileformat import serialize_semiring
 from .ops import (
-    CONCL_BOOLEAN,
-    CONCL_COMMUTATIVE,
-    HYP_ADD_GEN_IDEM,
-    HYP_MULT_GEN_IDEM,
-    HYP_MULT_GEN_NILIDEM,
-    HYP_NIL_IN_V_AND_Z,
-    HYP_NIL_IN_Z,
-    HYP_NILORTH_COMPLEMENTS,
-    HYP_ORTH_COMPLEMENTS,
+    CLAUSES,
     THEOREM_IDS,
     VERDICT_VIOLATION,
     check_clause,
+    check_theorem,
     invariant_vectors,
-    judge_theorem,
 )
 
 DEFAULT_MAX_ORDER = 4
@@ -332,28 +325,15 @@ def enumerate_semirings(order: int,
     return [S for _, S in _catalog(order, max_order)]
 
 
-# scan flag -> the theorem-table clause it reports
-_FLAG_CLAUSES = {
-    "boolean": CONCL_BOOLEAN,
-    "commutative": CONCL_COMMUTATIVE,
-    "mult-gen-idempotents": HYP_MULT_GEN_IDEM,
-    "mult-gen-nilidempotents": HYP_MULT_GEN_NILIDEM,
-    "add-gen-idempotents": HYP_ADD_GEN_IDEM,
-    "orthogonal-complements": HYP_ORTH_COMPLEMENTS,
-    "nilorthogonal-complements": HYP_NILORTH_COMPLEMENTS,
-    "nil-in-z": HYP_NIL_IN_Z,
-    "nil-in-vz": HYP_NIL_IN_V_AND_Z,
-}
-SCAN_FLAGS = tuple(_FLAG_CLAUSES)
+SCAN_FLAGS = tuple(flag for flag, _ in CLAUSES.values())
 
 
 def _scan_entry(key: str, S: FiniteSemiring,
                 theorem_ids) -> tuple[ScanEntry, list[dict]]:
-    checks = {name: check_clause(S, name) for name in _FLAG_CLAUSES.values()}
     verdicts = {}
     violations = []
     for theorem in theorem_ids:
-        report = judge_theorem(theorem, checks)
+        report = check_theorem(S, theorem)
         verdicts[theorem] = report.verdict
         if report.verdict == VERDICT_VIOLATION:
             violations.append({
@@ -364,7 +344,8 @@ def _scan_entry(key: str, S: FiniteSemiring,
                                        if not c.holds],
                 "semiring": serialize_semiring(S),
             })
-    flags = {flag: checks[name].holds for flag, name in _FLAG_CLAUSES.items()}
+    flags = {flag: check_clause(S, name).holds
+             for name, (flag, _) in CLAUSES.items()}
     entry = ScanEntry(order=S.order, key=key, flags=flags, verdicts=verdicts)
     return entry, violations
 

@@ -180,6 +180,11 @@ class FiniteSemiring:
     def _classes(self) -> tuple[ClassReport, list[tuple]]:
         return _classify(self)
 
+    @cached_property
+    def _clauses(self) -> dict:
+        """Clause name -> its check, filled in by `ops.check_clause`."""
+        return {}
+
     def index_of(self, label: str) -> int:
         try:
             return self._label_index[label]

@@ -367,22 +367,23 @@ def _classify_factor(F: FiniteSemiring) -> str:
 def peirce_decompose(S: FiniteSemiring) -> PeirceResult:
     """Split a commutative semiring along its primitive idempotents.
 
-    Requires every idempotent to have an orthogonal complement.  Primitive
+    Requires every idempotent to have an orthogonal complement; both
+    preconditions are read off their clauses (`check_clause`).  Primitive
     means minimal nonzero under e <= f iff ef = e.  The factor at e is the
     carrier e*S with identity e; the map s -> (e_1 s, ..., e_k s) is
     verified to be an isomorphism onto the direct product.
     """
-    pair = noncommuting_pair(S)
-    if pair is not None:
-        a, b = pair
+    commutative = check_clause(S, CONCL_COMMUTATIVE)
+    if not commutative.holds:
+        a, b = commutative.witness
         raise DomainError(
             f"not commutative: {S.labels[a]!r} and {S.labels[b]!r} do not commute")
-    idems = element_classes(S).idempotents
-    for e in idems:
-        if orthogonal_complement(S, e) is None:
-            raise DomainError(
-                f"idempotent {S.labels[e]!r} has no orthogonal complement")
-    nonzero = [e for e in idems if e != S.zero]
+    complemented = check_clause(S, HYP_ORTH_COMPLEMENTS)
+    if not complemented.holds:
+        e, = complemented.witness
+        raise DomainError(
+            f"idempotent {S.labels[e]!r} has no orthogonal complement")
+    nonzero = [e for e in element_classes(S).idempotents if e != S.zero]
     primitives = [e for e in nonzero
                   if all(g == e or S.times(g, e) != g for g in nonzero)]
     for u, v in itertools.combinations(primitives, 2):
@@ -528,50 +529,59 @@ def _ungenerated(S: FiniteSemiring, mode: str, generator_class: str) -> int | No
     return None if cert.generated else min(cert.uncovered)
 
 
-# clause name -> finder of a counterexample (an element, a pair, or None
-# when the clause holds).  Finders are looked up at call time so that
-# replacing one on this module replaces it everywhere.
-_CLAUSE_FINDERS = {
-    HYP_MULT_GEN_IDEM: lambda S: _ungenerated(S, MODE_MULT, GEN_IDEMPOTENTS),
-    HYP_MULT_GEN_NILIDEM:
-        lambda S: _ungenerated(S, MODE_MULT, GEN_NILIDEMPOTENTS),
-    HYP_ADD_GEN_IDEM: lambda S: _ungenerated(S, MODE_ADD, GEN_IDEMPOTENTS),
+# clause name -> (scan flag, finder of a counterexample: an element, a
+# pair, or None when the clause holds), in scan-flag order.  Finders are
+# looked up at call time so that replacing one on this module replaces it
+# everywhere.
+CLAUSES = {
+    CONCL_BOOLEAN: ("boolean", lambda S: non_idempotent_element(S)),
+    CONCL_COMMUTATIVE: ("commutative", lambda S: noncommuting_pair(S)),
+    HYP_MULT_GEN_IDEM: ("mult-gen-idempotents",
+                        lambda S: _ungenerated(S, MODE_MULT, GEN_IDEMPOTENTS)),
+    HYP_MULT_GEN_NILIDEM: ("mult-gen-nilidempotents",
+                           lambda S: _ungenerated(S, MODE_MULT,
+                                                  GEN_NILIDEMPOTENTS)),
+    HYP_ADD_GEN_IDEM: ("add-gen-idempotents",
+                       lambda S: _ungenerated(S, MODE_ADD, GEN_IDEMPOTENTS)),
     HYP_ORTH_COMPLEMENTS:
-        lambda S: idempotent_without_orthogonal_complement(S),
+        ("orthogonal-complements",
+         lambda S: idempotent_without_orthogonal_complement(S)),
     HYP_NILORTH_COMPLEMENTS:
-        lambda S: idempotent_without_nilorthogonal_complement(S),
-    HYP_NIL_IN_V_AND_Z: lambda S: nilpotent_outside_v_and_z(S),
-    HYP_NIL_IN_Z: lambda S: nilpotent_outside_center(S),
-    CONCL_COMMUTATIVE: lambda S: noncommuting_pair(S),
-    CONCL_BOOLEAN: lambda S: non_idempotent_element(S),
+        ("nilorthogonal-complements",
+         lambda S: idempotent_without_nilorthogonal_complement(S)),
+    HYP_NIL_IN_Z: ("nil-in-z", lambda S: nilpotent_outside_center(S)),
+    HYP_NIL_IN_V_AND_Z: ("nil-in-vz", lambda S: nilpotent_outside_v_and_z(S)),
 }
 
 
 def check_clause(S: FiniteSemiring, name: str) -> ClauseCheck:
-    """Evaluate one clause of the theorem table on S."""
-    witness = _CLAUSE_FINDERS[name](S)
-    if isinstance(witness, int):
-        witness = (witness,)
-    return ClauseCheck(name, witness is None, witness)
+    """Evaluate one clause of `CLAUSES` on S.
+
+    Each clause is evaluated at most once per semiring, when first asked
+    for; the check is kept with S and shared by every later caller."""
+    checks = S._clauses
+    if name not in checks:
+        witness = CLAUSES[name][1](S)
+        if isinstance(witness, int):
+            witness = (witness,)
+        checks[name] = ClauseCheck(name, witness is None, witness)
+    return checks[name]
 
 
-def _theorem_clauses(theorem: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    try:
-        return THEOREMS[theorem]
-    except KeyError:
-        raise DomainError(f"unknown theorem id {theorem!r}") from None
-
-
-def judge_theorem(theorem: str, checks: dict[str, ClauseCheck]) -> TheoremReport:
-    """One theorem's report from already evaluated clauses, keyed by name.
+def check_theorem(S: FiniteSemiring, theorem: str) -> TheoremReport:
+    """Evaluate one theorem's hypotheses and conclusions on S, each
+    through `check_clause`.
 
     confirmed: everything holds.  vacuous: some hypothesis fails.
     VIOLATION: hypotheses hold but a conclusion fails, which would refute
     the statement being tested.
     """
-    hyp_names, concl_names = _theorem_clauses(theorem)
-    hypotheses = tuple(checks[name] for name in hyp_names)
-    conclusions = tuple(checks[name] for name in concl_names)
+    try:
+        hyp_names, concl_names = THEOREMS[theorem]
+    except KeyError:
+        raise DomainError(f"unknown theorem id {theorem!r}") from None
+    hypotheses = tuple(check_clause(S, name) for name in hyp_names)
+    conclusions = tuple(check_clause(S, name) for name in concl_names)
     if all(h.holds for h in hypotheses):
         verdict = VERDICT_CONFIRMED if all(c.holds for c in conclusions) \
             else VERDICT_VIOLATION
@@ -579,10 +589,3 @@ def judge_theorem(theorem: str, checks: dict[str, ClauseCheck]) -> TheoremReport
         verdict = VERDICT_VACUOUS
     return TheoremReport(theorem=theorem, hypotheses=hypotheses,
                          conclusions=conclusions, verdict=verdict)
-
-
-def check_theorem(S: FiniteSemiring, theorem: str) -> TheoremReport:
-    """Evaluate one theorem's hypotheses and conclusions on S."""
-    hyp_names, concl_names = _theorem_clauses(theorem)
-    return judge_theorem(theorem, {name: check_clause(S, name)
-                                   for name in hyp_names + concl_names})

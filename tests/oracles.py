@@ -22,6 +22,20 @@ from semirings import (
     validate,
     zmod,
 )
+from semirings.ops import (
+    CONCL_BOOLEAN,
+    CONCL_COMMUTATIVE,
+    HYP_ADD_GEN_IDEM,
+    HYP_MULT_GEN_IDEM,
+    HYP_MULT_GEN_NILIDEM,
+    HYP_NIL_IN_V_AND_Z,
+    HYP_NIL_IN_Z,
+    HYP_NILORTH_COMPLEMENTS,
+    HYP_ORTH_COMPLEMENTS,
+    THEOREMS,
+    ClauseCheck,
+    TheoremReport,
+)
 
 
 def closure_by_sets(S: FiniteSemiring, generators, op_name: str) -> frozenset:
@@ -263,6 +277,72 @@ def classify_factor_brute(F: FiniteSemiring) -> str:
     if sum(F.times(e, e) == e for e in F.elements) > 2:
         return "other"
     return "other-no-nontrivial-idempotents"
+
+
+def ungenerated_brute(S: FiniteSemiring, op_name: str,
+                      generators) -> int | None:
+    """Least element outside the closure of generators, by `closure_by_sets`."""
+    covered = closure_by_sets(S, generators, op_name)
+    return next((a for a in S.elements if a not in covered), None)
+
+
+def _idempotents_brute(S: FiniteSemiring) -> list[int]:
+    return [e for e in S.elements if S.times(e, e) == e]
+
+
+# scan flag -> (clause name, brute finder), in scan-flag order
+CLAUSES_BRUTE = {
+    "boolean": (CONCL_BOOLEAN, non_idempotent_element_brute),
+    "commutative": (CONCL_COMMUTATIVE, noncommuting_pair_brute),
+    "mult-gen-idempotents":
+        (HYP_MULT_GEN_IDEM,
+         lambda S: ungenerated_brute(S, "mul", _idempotents_brute(S))),
+    "mult-gen-nilidempotents":
+        (HYP_MULT_GEN_NILIDEM,
+         lambda S: ungenerated_brute(S, "mul",
+                                     list(classify_brute(S).nilidempotents))),
+    "add-gen-idempotents":
+        (HYP_ADD_GEN_IDEM,
+         lambda S: ungenerated_brute(S, "add", _idempotents_brute(S))),
+    "orthogonal-complements":
+        (HYP_ORTH_COMPLEMENTS, idempotent_without_orthogonal_complement_brute),
+    "nilorthogonal-complements":
+        (HYP_NILORTH_COMPLEMENTS,
+         idempotent_without_nilorthogonal_complement_brute),
+    "nil-in-z": (HYP_NIL_IN_Z, nilpotent_outside_center_brute),
+    "nil-in-vz": (HYP_NIL_IN_V_AND_Z, nilpotent_outside_v_and_z_brute),
+}
+
+
+def scan_flags_brute(S: FiniteSemiring) -> dict[str, bool]:
+    """Every scan flag, each from its clause's brute finder."""
+    return {flag: finder(S) is None
+            for flag, (_, finder) in CLAUSES_BRUTE.items()}
+
+
+def check_theorem_brute(S: FiniteSemiring, theorem: str) -> TheoremReport:
+    """The theorem report from `THEOREMS` and the brute finders: each
+    clause found afresh, the verdict by the definitions (vacuous when a
+    hypothesis fails, VIOLATION when only a conclusion does)."""
+    finders = dict(CLAUSES_BRUTE.values())
+
+    def check(name: str) -> ClauseCheck:
+        witness = finders[name](S)
+        if isinstance(witness, int):
+            witness = (witness,)
+        return ClauseCheck(name, witness is None, witness)
+
+    hyp_names, concl_names = THEOREMS[theorem]
+    hypotheses = tuple(map(check, hyp_names))
+    conclusions = tuple(map(check, concl_names))
+    if not all(h.holds for h in hypotheses):
+        verdict = "vacuous"
+    elif all(c.holds for c in conclusions):
+        verdict = "confirmed"
+    else:
+        verdict = "VIOLATION"
+    return TheoremReport(theorem=theorem, hypotheses=hypotheses,
+                         conclusions=conclusions, verdict=verdict)
 
 
 def orthogonal_decompositions_brute(

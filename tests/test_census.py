@@ -48,10 +48,12 @@ from semirings.ops import (
 from oracles import (
     brute_force_semiring_keys,
     canonical_search_brute,
+    check_theorem_brute,
     commutative_monoids_brute,
     fixture_semirings,
     least_relabeling_brute,
     mul_completions_brute,
+    scan_flags_brute,
 )
 
 # Regression constants, frozen after the raw brute force over all order<=3
@@ -356,10 +358,23 @@ def test_scan_flags_match_the_public_predicates():
             assert entry.verdicts[theorem] == check_theorem(S, theorem).verdict
 
 
+def test_scan_matches_the_theorem_oracle():
+    report = scan(range(1, 5), include_trivial=True)
+    catalog = [S for order in range(1, 5) for S in enumerate_semirings(order)]
+    assert len(catalog) == len(report.entries) == 1 + 2 + 6 + 40
+    for S, entry in zip(catalog, report.entries):
+        assert entry.flags == scan_flags_brute(S)
+        assert entry.verdicts == {
+            theorem: check_theorem_brute(S, theorem).verdict
+            for theorem in THEOREM_IDS}
+
+
 def test_scan_lists_every_violation(monkeypatch):
     import semirings.ops as ops
 
     monkeypatch.setattr(ops, "noncommuting_pair", lambda S: (S.zero, S.one))
+    # Every semiring below is built afresh, so the patched clause checks
+    # stay with semirings no other test sees.
     report = scan([2, 3])
     expected = [(entry.key, theorem)
                 for entry in report.entries for theorem in THEOREM_IDS

@@ -337,6 +337,15 @@ def test_unknown_preset_is_a_usage_error(argv):
     assert code == 1 and report["verdict"] == "error"
 
 
+@pytest.mark.parametrize("preset", [
+    "zmod:5_0", "zmod:+3", "zmod: 7", "zmod:\u0663", "matrix:bool,\u0662",
+    "triangular:bool, 2"])
+def test_malformed_preset_integer_is_an_error(preset):
+    code, report = run(["classify", "--preset", preset, "--json"])
+    assert code == 1 and report["verdict"] == "error"
+    assert report["result"]["error"] == f"malformed preset {preset!r}"
+
+
 def test_preset_over_the_size_cap_is_an_error():
     code, report = run(["classify", "--preset", "zmod:5000", "--json"])
     assert code == 1 and report["verdict"] == "error"

@@ -166,6 +166,30 @@ def test_unknown_preset_rejected():
         from_preset("matrix:bool")
 
 
+# Spellings that int() accepts but a preset's integer field does not.
+MALFORMED_INTEGER_PRESETS = ["zmod:5_0", "zmod:+3", "zmod: 7", "zmod:\u0663",
+                             "matrix:bool,\u0662", "triangular:bool, 2"]
+
+
+@pytest.mark.parametrize("name", MALFORMED_INTEGER_PRESETS)
+def test_preset_integers_are_ascii_digits(name):
+    with pytest.raises(DomainError) as err:
+        from_preset(name)
+    assert str(err.value) == f"malformed preset {name!r}"
+
+
+@pytest.mark.parametrize("name,message", [
+    ("zmod:0", "modulus must be at least 1"),
+    ("zmod:-3", "modulus must be at least 1"),
+    ("matrix:bool,0", "matrix dimension must be at least 1"),
+    ("triangular:bool,-2", "matrix dimension must be at least 1"),
+])
+def test_preset_integers_below_one_keep_their_messages(name, message):
+    with pytest.raises(DomainError) as err:
+        from_preset(name)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("name,S", fixture_semirings())
 def test_constructors_place_zero_and_one_first(name, S):
     assert S.zero == 0

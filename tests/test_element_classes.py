@@ -7,7 +7,8 @@ search for each fact separately.  They must agree field for field, in
 the key order of every witness dict, and vector for vector.  The queries
 that read the cached classes (nilpotency, inverses, commutativity,
 complements, the clause finders, decompositions, Peirce factor classes)
-must give the witnesses of the oracles' own scans.
+must give the witnesses of the oracles' own scans, and the theorem reports
+and scan flags built on them those of `check_theorem_brute`.
 """
 
 import random
@@ -18,7 +19,9 @@ import pytest
 
 import semirings.core as core
 from oracles import (
+    CLAUSES_BRUTE,
     additive_inverse_by_scan,
+    check_theorem_brute,
     classify_brute,
     classify_factor_brute,
     idempotent_without_nilorthogonal_complement_brute,
@@ -32,12 +35,14 @@ from oracles import (
     noncommuting_pair_brute,
     orthogonal_complement_brute,
     orthogonal_decompositions_brute,
+    scan_flags_brute,
 )
 from semirings import (
     ClassReport,
     DomainError,
     additive_inverse,
     canonical_form,
+    check_theorem,
     element_classes,
     enumerate_semirings,
     from_preset,
@@ -46,7 +51,9 @@ from semirings import (
     nilpotency_index,
     reindex,
 )
+from semirings.census import _scan_entry
 from semirings.ops import (
+    THEOREM_IDS,
     _classify_factor,
     idempotent_without_nilorthogonal_complement,
     idempotent_without_orthogonal_complement,
@@ -157,3 +164,15 @@ def test_orthogonal_decompositions_match_the_subset_search(name):
             want = orthogonal_decompositions_brute(S, max_len)
             for b in S.elements:
                 assert orthogonal_decompositions(S, b, max_len) == want[b]
+
+
+@pytest.mark.parametrize("name", QUERY_CASES)
+def test_theorem_reports_and_scan_flags_match_the_oracle(name):
+    for S in _variants(_semiring(name)):
+        entry, _ = _scan_entry("", S, THEOREM_IDS)
+        assert tuple(entry.flags) == tuple(CLAUSES_BRUTE)
+        assert entry.flags == scan_flags_brute(S)
+        for theorem in THEOREM_IDS:
+            want = check_theorem_brute(S, theorem)
+            assert check_theorem(S, theorem) == want
+            assert entry.verdicts[theorem] == want.verdict

@@ -356,8 +356,10 @@ def test_peirce_factor_orders_multiply(z3x, bool_sr, z4):
 
 
 def test_peirce_rejects_noncommutative(t2b):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as err:
         peirce_decompose(t2b)
+    assert str(err.value) == \
+        "not commutative: '[1 0;0 0]' and '[0 1;0 0]' do not commute"
 
 
 def test_peirce_rejects_uncomplemented_idempotent():

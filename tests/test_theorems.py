@@ -3,11 +3,13 @@ that must hold on every catalog semiring where the hypotheses do."""
 
 import pytest
 
+import semirings.ops as ops
 from semirings import (
     DomainError,
     check_theorem,
     element_classes,
     enumerate_semirings,
+    from_preset,
     is_boolean,
     is_nilpotent,
     lift_nilidempotent,
@@ -19,9 +21,11 @@ from semirings.ops import (
     CONCL_COMMUTATIVE,
     FACTOR_ISO_BOOL,
     FACTOR_ISO_Z2,
+    GEN_IDEMPOTENTS,
     HYP_ADD_GEN_IDEM,
     HYP_NIL_IN_Z,
     HYP_ORTH_COMPLEMENTS,
+    MODE_MULT,
     THEOREM_IDS,
     VERDICT_CONFIRMED,
     VERDICT_VACUOUS,
@@ -84,6 +88,31 @@ def test_crt_ring_additivecom_confirmed(z3x):
 def test_unknown_theorem_id(bool_sr):
     with pytest.raises(DomainError):
         check_theorem(bool_sr, "everything")
+
+
+CLAUSE_FINDERS = ("non_idempotent_element", "noncommuting_pair", "_ungenerated",
+                  "idempotent_without_orthogonal_complement",
+                  "idempotent_without_nilorthogonal_complement",
+                  "nilpotent_outside_center", "nilpotent_outside_v_and_z")
+
+
+def test_each_clause_is_evaluated_once(monkeypatch):
+    calls = []
+    for name in CLAUSE_FINDERS:
+        monkeypatch.setattr(
+            ops, name, lambda S, *args, name=name, finder=getattr(ops, name):
+            calls.append((name, args)) or finder(S, *args))
+    # A fresh semiring, not a session fixture: the clause checks stay with it.
+    S = from_preset("product:bool,zmod:3")
+    check_theorem(S, "main")
+    assert sorted(calls) == sorted([
+        ("_ungenerated", (MODE_MULT, GEN_IDEMPOTENTS)),
+        ("idempotent_without_orthogonal_complement", ()),
+        ("noncommuting_pair", ()), ("non_idempotent_element", ())])
+    for theorem in THEOREM_IDS:
+        check_theorem(S, theorem)
+    peirce_decompose(S)
+    assert len(calls) == len(set(calls)) == 9
 
 
 @pytest.mark.parametrize("theorem", THEOREM_IDS)
