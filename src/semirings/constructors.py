@@ -5,7 +5,14 @@ from __future__ import annotations
 
 import re
 
-from .core import DomainError, FiniteSemiring, make_semiring, tabulate
+from .core import (
+    DomainError,
+    FiniteSemiring,
+    _carrier,
+    _generated_table,
+    make_semiring,
+    tabulate,
+)
 
 DEFAULT_MAX_ELEMENTS = 4096
 
@@ -97,7 +104,13 @@ def _matrix_label(S: FiniteSemiring, mat) -> str:
 
 def _matrix_semiring(S: FiniteSemiring, n: int, positions,
                      max_elements: int) -> FiniteSemiring:
-    """The n-by-n matrices over S that are S.zero off `positions`."""
+    """The n-by-n matrices over S that are S.zero off `positions`.
+
+    The carrier is in `tabulate`'s order.  Matrix sum and product over the
+    validated semiring S are associative, so `_generated_table` computes
+    them only for the rows of a generating set and gathers every other
+    row from those; `make_semiring` still validates the tables.
+    """
     if n < 1:
         raise DomainError("matrix dimension must be at least 1")
     count = S.order ** len(positions)
@@ -113,16 +126,25 @@ def _matrix_semiring(S: FiniteSemiring, n: int, positions,
         return tuple(tuple(S.plus(x, y) for x, y in zip(ra, rb))
                      for ra, rb in zip(a, b))
 
+    # the k with (i, k) and (k, j) both free; every other term of entry
+    # (i, j) of a product has the factor S.zero, which annihilates
+    free = set(positions)
+    terms = [[[k for k in range(n) if (i, k) in free and (k, j) in free]
+              for j in range(n)] for i in range(n)]
+
     def mmul(a, b):
-        return tuple(tuple(S.sum(S.times(a[i][k], b[k][j]) for k in range(n))
+        return tuple(tuple(S.sum(S.times(a[i][k], b[k][j]) for k in terms[i][j])
                            for j in range(n))
                      for i in range(n))
 
     zero = tuple((S.zero,) * n for _ in range(n))
     one = tuple(tuple(S.one if i == j else S.zero for j in range(n))
                 for i in range(n))
-    return tabulate(map(decode, range(count)), madd, mmul, zero, one,
-                    lambda mat: _matrix_label(S, mat))
+    carrier, index = _carrier(map(decode, range(count)), zero, one)
+    add = _generated_table(carrier, index, madd, (0,))
+    mul = _generated_table(carrier, index, mmul, (0, index[one]))
+    return make_semiring(add, mul, 0, index[one],
+                         [_matrix_label(S, mat) for mat in carrier])
 
 
 def matrix_semiring(S: FiniteSemiring, n: int,

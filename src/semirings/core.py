@@ -247,9 +247,10 @@ def validate(add, mul, zero: int, one: int) -> AxiomReport:
     distributive laws only at the elements of a generating set, in
     O(n^2 |G|) steps instead of O(n^3); that is a proof that the tables are
     a semiring, not a sample (see `_generated_laws_hold`).  If any of its
-    checks fails, and always on smaller carriers, the full O(n^3) sweep
-    runs, so an invalid table's report still lists every violated instance
-    in sweep order.  Either way the report is the same.
+    checks fails, and always on smaller carriers, `_sweep` lists every
+    violated instance in the order of the plain O(n^3) loops; from order 8
+    on it first screens each law by whole rows and loops over c only where
+    a screen fails.  Either way the report is the same.
 
     Structural problems (non-square tables, out-of-range entries) raise
     MalformedTableError instead of being reported as axiom violations.
@@ -291,6 +292,47 @@ def _generators(table, seeds: Iterable[int], n: int) -> list[int]:
                     found.append(v)
             i += 1
     return gens
+
+
+def _generated_table(carrier, index, op, seeds) -> list[tuple[int, ...]]:
+    """The table of an associative operation op on `carrier`, evaluating
+    op only on the rows of a generating set.
+
+    The generating set is the greedy one `_generators` would find in the
+    finished table.  Every other x is first reached as x = x'g, with x'
+    reached before it and g a generator; associativity gives
+    (x'g)y = x'(gy), so row(x)[y] = row(x')[row(g)[y]] and row(x) is one
+    gather of row(x') along row(g).  For matrices over a semiring, sum and
+    product are associative, so this is the table `tabulate` would build.
+    """
+    n = len(carrier)
+    rows: list = [None] * n
+    gathers: dict[int, itemgetter] = {}  # generator -> gather along its row
+    found: list[int] = []
+    for g in (*seeds, *range(n)):
+        if len(found) == n:
+            break
+        if rows[g] is not None:
+            continue
+        x = carrier[g]
+        rows[g] = tuple(index[op(x, y)] for y in carrier)
+        i = len(found)
+        found.append(g)
+        gathers[g] = gather = itemgetter(*rows[g])
+        for r in found[:i]:
+            v = rows[r][g]
+            if rows[v] is None:
+                rows[v] = gather(rows[r])
+                found.append(v)
+        while i < len(found):
+            row = rows[found[i]]
+            for h, gather in gathers.items():
+                v = row[h]
+                if rows[v] is None:
+                    rows[v] = gather(row)
+                    found.append(v)
+            i += 1
+    return rows
 
 
 def _generated_laws_hold(add, mul, zero: int, one: int, n: int) -> bool:
@@ -338,7 +380,12 @@ def _generated_laws_hold(add, mul, zero: int, one: int, n: int) -> bool:
 
 
 def _sweep(add, mul, zero: int, one: int, n: int) -> list[AxiomViolation]:
-    """Every violated axiom instance, by direct O(n^3) loops."""
+    """Every violated axiom instance, in the order of direct O(n^3) loops.
+
+    The loop over c runs for each (a, b) below order `_SWEEP_BELOW`, and
+    from there on only for the (a, b) that `_suspects` keeps; every other
+    (a, b) holds all four laws for every c, so the list is the same.
+    """
     rng = range(n)
     bad: list[AxiomViolation] = []
 
@@ -355,9 +402,10 @@ def _sweep(add, mul, zero: int, one: int, n: int) -> list[AxiomViolation]:
         for b in rng:
             if add[a][b] != add[b][a]:
                 bad.append(AxiomViolation("add-commutativity", (a, b, 0)))
+    suspects = [rng] * n if n < _SWEEP_BELOW else _suspects(add, mul, n)
     for a in rng:
         adda, mula = add[a], mul[a]
-        for b in rng:
+        for b in suspects[a]:
             addb, mulb = add[b], mul[b]
             # rows for (a+b)+c, (ab)c, ab+ac and (a+b)c
             add_ab, mul_ab = add[adda[b]], mul[mula[b]]
@@ -372,6 +420,38 @@ def _sweep(add, mul, zero: int, one: int, n: int) -> list[AxiomViolation]:
                 if mul_aab[c] != add[mula[c]][mulb[c]]:
                     bad.append(AxiomViolation("right-distributivity", (a, b, c)))
     return bad
+
+
+def _suspects(add, mul, n: int) -> list[list[int]]:
+    """For each a, the b, in order, at which some c breaks associativity
+    or distributivity, found by comparing whole rows.
+
+    at_x = itemgetter(*x) composes a row with x: at_x(r)[i] = r[x[i]].  One
+    getter per row of + and * and per column of *, built once, gives the
+    three laws for each (a, b) as rows over c, and right distributivity,
+    (a+b)c = ac + bc, for each (a, c) as rows over b, from column c of *.
+    """
+    add = [tuple(row) for row in add]
+    mul = [tuple(row) for row in mul]
+    cols = list(zip(*mul))
+    at_add = [itemgetter(*row) for row in add]
+    at_mul = [itemgetter(*row) for row in mul]
+    suspects: list[set[int]] = [set() for _ in range(n)]
+    for col in cols:
+        at_col = itemgetter(*col)
+        for a, at_adda in enumerate(at_add):
+            left, right = at_adda(col), at_col(add[col[a]])
+            if left != right:
+                suspects[a].update(b for b in range(n) if left[b] != right[b])
+    for a in range(n):
+        adda, mula, at_mula, bad = add[a], mul[a], at_mul[a], suspects[a]
+        for b in range(n):
+            at_addb = at_add[b]
+            # (a+b)+c = a+(b+c), (ab)c = a(bc) and a(b+c) = ab+ac
+            if (add[adda[b]] != at_addb(adda) or mul[mula[b]] != at_mul[b](mula)
+                    or at_addb(mula) != at_mula(add[mula[b]])):
+                bad.add(b)
+    return [sorted(bad) for bad in suspects]
 
 
 _CLOSERS = {"(": ")", "[": "]"}
@@ -464,6 +544,13 @@ def reindex(S: FiniteSemiring, perm: Iterable[int]) -> FiniteSemiring:
                           zero=perm[S.zero], one=perm[S.one], labels=labels)
 
 
+def _carrier(elements, zero, one) -> tuple[list, dict]:
+    """The carrier order of `tabulate`, and each element's index in it."""
+    carrier = [zero] + ([one] if one != zero else [])
+    carrier += [x for x in elements if x != zero and x != one]
+    return carrier, {x: i for i, x in enumerate(carrier)}
+
+
 def tabulate(elements, plus, times, zero, one, label) -> FiniteSemiring:
     """Build the semiring on `elements` under the operations plus, times.
 
@@ -474,9 +561,7 @@ def tabulate(elements, plus, times, zero, one, label) -> FiniteSemiring:
     trivial).  `label(x)` names element x.  The tables go through
     `make_semiring`, which validates them and checks the labels.
     """
-    carrier = [zero] + ([one] if one != zero else [])
-    carrier += [x for x in elements if x != zero and x != one]
-    index = {x: i for i, x in enumerate(carrier)}
+    carrier, index = _carrier(elements, zero, one)
     add = [[index[plus(a, b)] for b in carrier] for a in carrier]
     mul = [[index[times(a, b)] for b in carrier] for a in carrier]
     return make_semiring(add, mul, 0, index[one], map(label, carrier))
@@ -579,8 +664,10 @@ def _classify(S: FiniteSemiring) -> tuple[ClassReport, list[tuple]]:
         vectors.append((len(powers) == 1, nil_index.get(a, 0), a in add_inv,
                         a in unit_wit, (add_tail, len(multiples) - add_tail),
                         (mul_tail, len(powers) - mul_tail)))
-    nilidem = [e for e in S.elements
-               if any(S.times(e, e) == S.plus(e, x) for x in nil_index)]
+    # e + x over the nilpotents x, gathered from row e; zero is nilpotent,
+    # so listing it again changes no sum and keeps the result a tuple
+    nil_sums = itemgetter(S.zero, *nil_index)
+    nilidem = [e for e in S.elements if S.mul[e][e] in nil_sums(S.add[e])]
     idem = [a for a, vector in enumerate(vectors) if vector[0]]
     center = [a for a, row in enumerate(S.mul)
               if row == tuple(map(itemgetter(a), S.mul))]

@@ -22,6 +22,7 @@ from semirings import (
     validate,
     zmod,
 )
+from semirings.core import tabulate
 from semirings.ops import (
     CONCL_BOOLEAN,
     CONCL_COMMUTATIVE,
@@ -112,6 +113,37 @@ def axiom_violations(add, mul, zero: int, one: int) -> list[tuple]:
                 if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]:
                     bad.append(("right-distributivity", (a, b, c)))
     return bad
+
+
+def matrix_semiring_brute(S: FiniteSemiring, n: int,
+                          triangular: bool) -> FiniteSemiring:
+    """The n-by-n (upper triangular if asked) matrices over S, every cell
+    of both tables computed from the definitions through `tabulate`: the
+    entrywise sum, and the row-by-column product over all n terms."""
+    positions = [(i, j) for i in range(n) for j in range(n)
+                 if i <= j or not triangular]
+
+    def decode(e: int):
+        mat = [[S.zero] * n for _ in range(n)]
+        for p, (i, j) in enumerate(positions):
+            mat[i][j] = (e // S.order ** p) % S.order
+        return tuple(tuple(row) for row in mat)
+
+    def madd(a, b):
+        return tuple(tuple(S.plus(x, y) for x, y in zip(ra, rb))
+                     for ra, rb in zip(a, b))
+
+    def mmul(a, b):
+        return tuple(tuple(S.sum(S.times(a[i][k], b[k][j]) for k in range(n))
+                           for j in range(n))
+                     for i in range(n))
+
+    zero = tuple((S.zero,) * n for _ in range(n))
+    one = tuple(tuple(S.one if i == j else S.zero for j in range(n))
+                for i in range(n))
+    return tabulate(map(decode, range(S.order ** len(positions))), madd, mmul,
+                    zero, one, lambda mat: "[" + ";".join(
+                        " ".join(S.labels[v] for v in row) for row in mat) + "]")
 
 
 def additive_inverse_by_scan(S: FiniteSemiring, a: int) -> int | None:

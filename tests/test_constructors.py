@@ -2,6 +2,7 @@ import pytest
 
 from semirings import (
     DomainError,
+    FiniteSemiring,
     boolean_semiring,
     direct_product,
     element_classes,
@@ -16,7 +17,7 @@ from semirings import (
 )
 from semirings.symbolic import NatModel, TripleModel
 
-from oracles import axiom_sweep, fixture_semirings
+from oracles import axiom_sweep, fixture_semirings, matrix_semiring_brute
 
 
 @pytest.mark.parametrize("name,S", fixture_semirings())
@@ -200,3 +201,44 @@ def test_constructors_place_zero_and_one_first(name, S):
 @pytest.mark.parametrize("name,S", fixture_semirings())
 def test_fixture_axiom_sweep(name, S):
     assert axiom_sweep(S) == []
+
+
+# ---------------------------------------------------- matrix constructions
+
+# preset -> (kind, base preset, dimension)
+MATRIX_PRESETS = {
+    "t2b": ("triangular", "bool", 2),
+    "m2z2": ("matrix", "zmod:2", 2),
+    "matrix:zmod:3,2": ("matrix", "zmod:3", 2),
+    "triangular:bool,3": ("triangular", "bool", 3),
+    "triangular:zmod:3,2": ("triangular", "zmod:3", 2),
+    "matrix:bool,2": ("matrix", "bool", 2),
+    "triangular:z2x-sq,2": ("triangular", "z2x-sq", 2),
+}
+
+
+@pytest.mark.parametrize("name", MATRIX_PRESETS)
+def test_matrix_tables_match_the_cell_by_cell_build(name):
+    kind, base, dim = MATRIX_PRESETS[name]
+    S = from_preset(name)
+    want = matrix_semiring_brute(from_preset(base), dim, kind == "triangular")
+    assert (S.add, S.mul, S.zero, S.one) == (want.add, want.mul, want.zero,
+                                             want.one)
+    assert S.labels == want.labels
+
+
+def test_matrix_arithmetic_runs_only_on_generator_rows(monkeypatch):
+    n, dim = 2 ** 6, 3  # triangular:bool,3 has 64 elements
+    orders = []
+    times = FiniteSemiring.times
+
+    def counting_times(self, a, b):
+        orders.append(self.order)
+        return times(self, a, b)
+
+    monkeypatch.setattr(FiniteSemiring, "times", counting_times)
+    assert from_preset("triangular:bool,3").order == n
+    assert set(orders) == {2}  # every product is one of the Boolean base
+    # The cell-by-cell build makes n^2 matrix products of dim^3 base
+    # products each, 110,592 in all; the generator rows take 25,600.
+    assert len(orders) <= n * n * dim ** 3 // 4

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,6 +116,38 @@ def test_validate_matches_the_sweep_on_perturbed_tables(data):
     want = axiom_violations(add, mul, S.zero, S.one)
     assert _as_pairs(report) == want
     assert report.valid == (not want)
+
+
+# The presets of the benchmark's build workload, all of order 27 to 128, so
+# `_sweep` screens them by whole rows before its loop over c.
+BUILD_PRESETS = {name: from_preset(name) for name in (
+    "matrix:zmod:3,2", "triangular:bool,3", "zmod:64", "zmod:100", "zmod:128",
+    "product:t2b,zmod:4", "product:m2z2,bool", "triangular:zmod:3,2")}
+
+
+@pytest.mark.parametrize("cells", [1, 2, 3])
+@pytest.mark.parametrize("name", BUILD_PRESETS)
+def test_screened_sweep_matches_the_oracle(name, cells):
+    S = BUILD_PRESETS[name]
+    assert S.order >= core._SWEEP_BELOW
+    rng = random.Random(f"{name}/{cells}")
+    add = [list(row) for row in S.add]
+    mul = [list(row) for row in S.mul]
+    for _ in range(cells):
+        table = rng.choice((add, mul))
+        i, j = rng.randrange(S.order), rng.randrange(S.order)
+        table[i][j] = (table[i][j] + rng.randrange(1, S.order)) % S.order
+    want = axiom_violations(add, mul, S.zero, S.one)
+    assert want  # each seeded change here breaks a law
+    assert _as_pairs(validate(add, mul, S.zero, S.one)) == want
+
+
+@pytest.mark.parametrize("name", BUILD_PRESETS)
+def test_screened_sweep_passes_valid_tables(name):
+    S = BUILD_PRESETS[name]
+    assert core._sweep(S.add, S.mul, S.zero, S.one, S.order) == []
+    assert core._sweep([list(row) for row in S.add], S.mul, S.zero, S.one,
+                       S.order) == []
 
 
 def test_broken_cell_outside_the_generators_is_found():
