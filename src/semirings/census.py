@@ -21,18 +21,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DomainError, FiniteSemiring, make_semiring, reindex
-from .fileformat import serialize_semiring
+from .core import (
+    DEFAULT_MAX_ORDER,
+    THEOREM_IDS,
+    DomainError,
+    FiniteSemiring,
+    make_semiring,
+    reindex,
+)
 from .ops import (
     CLAUSES,
-    THEOREM_IDS,
     VERDICT_VIOLATION,
     check_clause,
     check_theorem,
     invariant_vectors,
 )
-
-DEFAULT_MAX_ORDER = 4
 
 _GENERIC_LABELS = ("0", "1", "a", "b", "c", "d", "e", "f")
 
@@ -336,6 +339,7 @@ def _scan_entry(key: str, S: FiniteSemiring,
         report = check_theorem(S, theorem)
         verdicts[theorem] = report.verdict
         if report.verdict == VERDICT_VIOLATION:
+            from .fileformat import serialize_semiring
             violations.append({
                 "order": S.order,
                 "key": key,

@@ -14,9 +14,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .census import DEFAULT_MAX_ORDER, scan
 from .constructors import from_preset
 from .core import (
+    DEFAULT_MAX_ORDER,
+    THEOREM_IDS,
     DomainError,
     ElementSet,
     FiniteSemiring,
@@ -26,26 +27,9 @@ from .core import (
     is_commutative,
     validate,
 )
-from .fileformat import (
-    parse_semiring_file,
-    parse_semiring_tables,
-    serialize_semiring,
-)
-from .ops import (
-    THEOREM_IDS,
-    VERDICT_VIOLATION,
-    check_theorem,
-    generation_certificate,
-    invert_unipotent,
-    isomorphic,
-    lift_nilidempotent,
-    nilorthogonal_complement,
-    nilorthogonal_complements,
-    orthogonal_complement,
-    orthogonal_decompositions,
-    peirce_decompose,
-)
-from .symbolic import NatModel, TripleModel
+
+# Each command imports the other modules it calls into (census, fileformat,
+# ops, symbolic) when it runs, so a process loads only what its command uses.
 
 SCHEMA_VERSION = 1
 
@@ -119,6 +103,8 @@ def _set_labels(S: FiniteSemiring, es: ElementSet) -> list[str]:
 
 def _load_inputs(args) -> tuple[list, dict]:
     inputs = []
+    if args.file:
+        from .fileformat import parse_semiring_file
     for path in args.file:
         inputs.append(parse_semiring_file(Path(path).read_text()))
     for preset in args.preset:
@@ -162,6 +148,8 @@ def _classify_payload(S: FiniteSemiring) -> dict:
 
 
 def _classify_symbolic(model) -> dict:
+    from .symbolic import NatModel, TripleModel
+
     if isinstance(model, NatModel):
         return {
             "model": "nat",
@@ -231,6 +219,7 @@ def _cmd_validate(args) -> tuple[str, dict, dict]:
     if len(args.file) + len(args.preset) != 1:
         raise DomainError("this command takes exactly one input")
     if args.file:
+        from .fileformat import parse_semiring_tables
         add, mul, zero, one, labels = parse_semiring_tables(
             Path(args.file[0]).read_text())
         report = validate(add, mul, zero, one)
@@ -262,6 +251,44 @@ def _dispatch(args) -> tuple[str, dict, dict]:
         if isinstance(inputs[0], FiniteSemiring):
             return "ok", descriptor, _classify_payload(inputs[0])
         return "ok", descriptor, _classify_symbolic(inputs[0])
+
+    if args.command == "census":
+        from .census import scan
+        if args.max_order < 1:
+            raise DomainError(f"max order {args.max_order} is below 1")
+        theorem_ids = THEOREM_IDS if args.theorem == "all" else (args.theorem,)
+        report = scan(range(1, args.max_order + 1), theorem_ids,
+                      include_trivial=args.include_trivial)
+        verdict = "violation" if report.violations else "ok"
+        return verdict, {"files": [], "presets": [],
+                         "max_order": args.max_order}, _scan_payload(report)
+
+    if args.command == "build":
+        from .fileformat import serialize_semiring
+        S = _single_semiring(inputs)
+        name = args.preset[0] if args.preset else args.file[0]
+        document = serialize_semiring(S, comment=f"semirings build {name}")
+        if args.out:
+            Path(args.out).write_text(document)
+            payload = {"path": args.out, "order": S.order}
+        else:
+            payload = {"document": document, "order": S.order}
+        return "ok", descriptor, payload
+
+    # every command below calls into ops
+    from .ops import (
+        VERDICT_VIOLATION,
+        check_theorem,
+        generation_certificate,
+        invert_unipotent,
+        isomorphic,
+        lift_nilidempotent,
+        nilorthogonal_complement,
+        nilorthogonal_complements,
+        orthogonal_complement,
+        orthogonal_decompositions,
+        peirce_decompose,
+    )
 
     if args.command == "closure":
         S = _single_semiring(inputs)
@@ -366,27 +393,6 @@ def _dispatch(args) -> tuple[str, dict, dict]:
         verdict = "violation" if report.verdict == VERDICT_VIOLATION \
             else report.verdict
         return verdict, descriptor, _theorem_payload(S, report)
-
-    if args.command == "census":
-        if args.max_order < 1:
-            raise DomainError(f"max order {args.max_order} is below 1")
-        theorem_ids = THEOREM_IDS if args.theorem == "all" else (args.theorem,)
-        report = scan(range(1, args.max_order + 1), theorem_ids,
-                      include_trivial=args.include_trivial)
-        verdict = "violation" if report.violations else "ok"
-        return verdict, {"files": [], "presets": [],
-                         "max_order": args.max_order}, _scan_payload(report)
-
-    if args.command == "build":
-        S = _single_semiring(inputs)
-        name = args.preset[0] if args.preset else args.file[0]
-        document = serialize_semiring(S, comment=f"semirings build {name}")
-        if args.out:
-            Path(args.out).write_text(document)
-            payload = {"path": args.out, "order": S.order}
-        else:
-            payload = {"document": document, "order": S.order}
-        return "ok", descriptor, payload
 
     raise DomainError(f"unknown command {args.command!r}")
 

@@ -185,10 +185,9 @@ def from_preset(name: str):
 
     Composite presets: product:A,B[,C...], matrix:BASE,n, triangular:BASE,n,
     where the component presets must not themselves contain commas.
+    The presentation and symbolic modules load only for the presets that
+    use them.
     """
-    from .presentation import presentation
-    from .symbolic import nat_model, nn_triple_model
-
     if name == "bool":
         return boolean_semiring()
     if name == "t2b":
@@ -200,6 +199,7 @@ def from_preset(name: str):
     if name == "z3x-sqm1":
         return poly_quotient(zmod(3), [-1, 0, 1])
     if name == "bxy-presentation":
+        from .presentation import presentation
         result = presentation(
             ("x", "y"),
             [("x+y", "0"), ("x*y", "0"), ("y*x", "0"),
@@ -210,8 +210,10 @@ def from_preset(name: str):
             raise DomainError("bxy presentation did not close; raise the bound")
         return result.semiring
     if name == "nat":
+        from .symbolic import nat_model
         return nat_model()
     if name == "nn-triple":
+        from .symbolic import nn_triple_model
         return nn_triple_model()
     if name.startswith("zmod:"):
         try:

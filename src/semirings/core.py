@@ -15,6 +15,35 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator
 
+# The theorems and the largest census order live here rather than in `ops`
+# and `census`, which re-export them, so that the CLI can build its parser
+# without importing either.
+HYP_MULT_GEN_IDEM = "mult-generated by idempotents"
+HYP_MULT_GEN_NILIDEM = "mult-generated by nilidempotents"
+HYP_ADD_GEN_IDEM = "add-generated by idempotents"
+HYP_ORTH_COMPLEMENTS = "every idempotent has an orthogonal complement"
+HYP_NILORTH_COMPLEMENTS = "every idempotent has a nilorthogonal complement"
+HYP_NIL_IN_V_AND_Z = "Nil ⊆ V ∩ Z"
+HYP_NIL_IN_Z = "Nil ⊆ Z"
+CONCL_COMMUTATIVE = "commutative"
+CONCL_BOOLEAN = "Boolean"
+
+# theorem id -> (hypothesis clause names, conclusion clause names)
+THEOREMS = {
+    "main": ((HYP_MULT_GEN_IDEM, HYP_ORTH_COMPLEMENTS),
+             (CONCL_COMMUTATIVE, CONCL_BOOLEAN)),
+    "main2": ((HYP_MULT_GEN_IDEM, HYP_NILORTH_COMPLEMENTS, HYP_NIL_IN_V_AND_Z),
+              (CONCL_COMMUTATIVE, CONCL_BOOLEAN)),
+    "mainnilid": ((HYP_MULT_GEN_NILIDEM, HYP_NILORTH_COMPLEMENTS,
+                   HYP_NIL_IN_V_AND_Z),
+                  (CONCL_COMMUTATIVE,)),
+    "additivecom": ((HYP_ADD_GEN_IDEM, HYP_ORTH_COMPLEMENTS, HYP_NIL_IN_Z),
+                    (CONCL_COMMUTATIVE,)),
+}
+THEOREM_IDS = tuple(THEOREMS)
+
+DEFAULT_MAX_ORDER = 4
+
 
 class SemiringError(Exception):
     """Base class for every error this package raises on purpose."""
@@ -222,6 +251,11 @@ def _check_structure(add, mul, zero: int, one: int) -> int:
         raise MalformedTableError("add and mul tables must have equal order")
     for name, table in (("add", add), ("mul", mul)):
         for i, row in enumerate(table):
+            # Screen the row in C; only a row that fails is walked cell by
+            # cell, which names its first bad cell or passes int subclasses.
+            if (len(row) == n and set(map(type, row)) == {int}
+                    and min(row) >= 0 and max(row) < n):
+                continue
             if len(row) != n:
                 raise MalformedTableError(f"{name} row {i} has length "
                                           f"{len(row)}, expected {n}")

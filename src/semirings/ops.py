@@ -9,6 +9,17 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (
+    CONCL_BOOLEAN,
+    CONCL_COMMUTATIVE,
+    HYP_ADD_GEN_IDEM,
+    HYP_MULT_GEN_IDEM,
+    HYP_MULT_GEN_NILIDEM,
+    HYP_NIL_IN_V_AND_Z,
+    HYP_NIL_IN_Z,
+    HYP_NILORTH_COMPLEMENTS,
+    HYP_ORTH_COMPLEMENTS,
+    THEOREM_IDS,
+    THEOREMS,
     DomainError,
     ElementSet,
     FiniteSemiring,
@@ -29,30 +40,6 @@ MODE_MULT = "multiplicative"
 MODE_ADD = "additive"
 GEN_IDEMPOTENTS = "idempotents"
 GEN_NILIDEMPOTENTS = "nilidempotents"
-
-HYP_MULT_GEN_IDEM = "mult-generated by idempotents"
-HYP_MULT_GEN_NILIDEM = "mult-generated by nilidempotents"
-HYP_ADD_GEN_IDEM = "add-generated by idempotents"
-HYP_ORTH_COMPLEMENTS = "every idempotent has an orthogonal complement"
-HYP_NILORTH_COMPLEMENTS = "every idempotent has a nilorthogonal complement"
-HYP_NIL_IN_V_AND_Z = "Nil ⊆ V ∩ Z"
-HYP_NIL_IN_Z = "Nil ⊆ Z"
-CONCL_COMMUTATIVE = "commutative"
-CONCL_BOOLEAN = "Boolean"
-
-# theorem id -> (hypothesis clause names, conclusion clause names)
-THEOREMS = {
-    "main": ((HYP_MULT_GEN_IDEM, HYP_ORTH_COMPLEMENTS),
-             (CONCL_COMMUTATIVE, CONCL_BOOLEAN)),
-    "main2": ((HYP_MULT_GEN_IDEM, HYP_NILORTH_COMPLEMENTS, HYP_NIL_IN_V_AND_Z),
-              (CONCL_COMMUTATIVE, CONCL_BOOLEAN)),
-    "mainnilid": ((HYP_MULT_GEN_NILIDEM, HYP_NILORTH_COMPLEMENTS,
-                   HYP_NIL_IN_V_AND_Z),
-                  (CONCL_COMMUTATIVE,)),
-    "additivecom": ((HYP_ADD_GEN_IDEM, HYP_ORTH_COMPLEMENTS, HYP_NIL_IN_Z),
-                    (CONCL_COMMUTATIVE,)),
-}
-THEOREM_IDS = tuple(THEOREMS)
 
 VERDICT_CONFIRMED = "confirmed"
 VERDICT_VACUOUS = "vacuous"

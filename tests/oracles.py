@@ -80,6 +80,27 @@ def axiom_sweep(S: FiniteSemiring) -> list[str]:
     return bad
 
 
+def structure_error_brute(add, mul, zero, one) -> str | None:
+    """The message of the first structural fault that `validate` refuses
+    with `MalformedTableError`, found cell by cell, or None."""
+    n = len(add)
+    if n == 0:
+        return "tables must have at least one element"
+    if len(mul) != n:
+        return "add and mul tables must have equal order"
+    for name, table in (("add", add), ("mul", mul)):
+        for i, row in enumerate(table):
+            if len(row) != n:
+                return f"{name} row {i} has length {len(row)}, expected {n}"
+            for j, v in enumerate(row):
+                if not isinstance(v, int) or not 0 <= v < n:
+                    return f"{name}[{i}][{j}] = {v!r} is not an element index"
+    for name, v in (("zero", zero), ("one", one)):
+        if not isinstance(v, int) or not 0 <= v < n:
+            return f"{name} = {v!r} is not an element index"
+    return None
+
+
 def axiom_violations(add, mul, zero: int, one: int) -> list[tuple]:
     """Every violated axiom instance as (axiom, witness), in the order of
     the plain O(n^3) sweep that `validate` reports; witnesses are padded

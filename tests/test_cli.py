@@ -196,19 +196,54 @@ def test_census_rejects_a_max_order_below_one(value):
                                 "kind": "DomainError"}
 
 
-def test_the_cli_imports_only_the_standard_library():
-    # -S keeps site-packages off the path
-    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
-             "import semirings.cli; print(*sys.modules)")
+_BASE_MODULES = {"semirings", "semirings.cli", "semirings.constructors",
+                 "semirings.core"}
+
+# argv -> the semirings modules a process running it loads
+_COMMAND_MODULES = [
+    (["classify", "--preset", "t2b"], _BASE_MODULES),
+    (["check", "--preset", "t2b", "--theorem", "main"],
+     _BASE_MODULES | {"semirings.ops"}),
+    (["closure", "--preset", "t2b"], _BASE_MODULES | {"semirings.ops"}),
+    (["census", "--max-order", "2"],
+     _BASE_MODULES | {"semirings.ops", "semirings.census"}),
+    (["classify", "--preset", "bxy-presentation"],
+     _BASE_MODULES | {"semirings.presentation"}),
+    (["classify", "--preset", "nat"], _BASE_MODULES | {"semirings.symbolic"}),
+    (["validate", "--file", "bool.sr"],
+     _BASE_MODULES | {"semirings.fileformat"}),
+    (["build", "--preset", "bool"], _BASE_MODULES | {"semirings.fileformat"}),
+]
+
+
+def test_the_cli_imports_only_the_standard_library(tmp_path):
+    # -S keeps site-packages off the path; the last stdout line lists the
+    # modules loaded once main has run
+    probe = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+             "import semirings.cli; "
+             "code = semirings.cli.main(json.loads(sys.argv[2])); "
+             "print(code, *sys.modules)")
     src = Path(semirings.__file__).parents[1]
-    loaded = subprocess.run([sys.executable, "-S", "-c", probe, str(src)],
-                            capture_output=True, text=True,
-                            check=True).stdout.split()
-    assert "semirings.cli" in loaded
-    foreign = [m for m in loaded if m != "__main__"
-               and m.partition(".")[0] not in sys.stdlib_module_names
-               and m.partition(".")[0] != "semirings"]
-    assert foreign == []
+    (tmp_path / "bool.sr").write_text(serialize_semiring(boolean_semiring()))
+
+    def loaded_by(argv):
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", probe, str(src), json.dumps(argv)],
+            capture_output=True, text=True, cwd=tmp_path, check=True)
+        code, *loaded = proc.stdout.splitlines()[-1].split()
+        foreign = [m for m in loaded if m != "__main__"
+                   and m.partition(".")[0] not in sys.stdlib_module_names
+                   and m.partition(".")[0] != "semirings"]
+        assert foreign == [], argv
+        return int(code), {m for m in loaded if m.partition(".")[0] == "semirings"}
+
+    for argv, expected in _COMMAND_MODULES:
+        code, modules = loaded_by(argv)
+        assert code == 0, argv
+        assert modules == expected, argv
+    code, modules = loaded_by(["frobnicate", "--preset", "t2b"])
+    assert code == 1
+    assert modules <= _BASE_MODULES
 
 
 def test_classify_counts_idempotents():
@@ -421,12 +456,13 @@ def test_exit_code_table():
 
 
 def test_violation_exit_code_via_stub(monkeypatch):
-    import semirings.cli as cli
+    import semirings.census as census
     from semirings.census import ScanReport
 
     fake = ScanReport(orders=(2,), counts={2: 1}, entries=(),
                       tallies={}, violations=({"theorem": "main"},))
-    monkeypatch.setattr(cli, "scan", lambda *a, **k: fake)
+    # the census command imports `scan` from semirings.census when it runs
+    monkeypatch.setattr(census, "scan", lambda *a, **k: fake)
     code, report = run(["census", "--max-order", "2"])
     assert code == 2
     assert report["verdict"] == "violation"

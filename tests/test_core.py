@@ -33,6 +33,7 @@ from oracles import (
     axiom_violations,
     fixture_semirings,
     nilpotent_by_long_sweep,
+    structure_error_brute,
 )
 
 FIXTURES = fixture_semirings()
@@ -81,6 +82,75 @@ def test_validate_rejects_out_of_range_entry():
 def test_validate_rejects_bad_distinguished_elements():
     with pytest.raises(MalformedTableError):
         validate(((0, 1), (1, 1)), ((0, 0), (0, 1)), 0, 2)
+
+
+def _z5_with(cells=(), rows=(), zero=0, one=1):
+    """zmod(5)'s tables as lists, with cells ((table, i, j), value) set and
+    rows (table, i, row) replaced."""
+    S = zmod(5)
+    tables = {"add": [list(r) for r in S.add], "mul": [list(r) for r in S.mul]}
+    for (name, i, j), v in cells:
+        tables[name][i][j] = v
+    for name, i, row in rows:
+        tables[name][i] = row
+    return tables["add"], tables["mul"], zero, one
+
+
+STRUCTURE_CASES = {
+    "short row": _z5_with(rows=[("add", 2, [2, 3, 4, 0])]),
+    "long mul row": _z5_with(rows=[("mul", 4, [0, 4, 3, 2, 1, 0])]),
+    "negative": _z5_with(cells=[(("mul", 3, 1), -1)]),
+    "equal to n": _z5_with(cells=[(("add", 1, 4), 5)]),
+    "float": _z5_with(cells=[(("add", 0, 1), 1.0)]),
+    "str": _z5_with(cells=[(("mul", 1, 1), "1")]),
+    "None": _z5_with(cells=[(("mul", 0, 4), None)]),
+    "bool": _z5_with(cells=[(("add", 0, 1), True), (("mul", 1, 0), False)]),
+    "bool then out of range": _z5_with(cells=[(("add", 3, 0), True),
+                                              (("add", 3, 2), 7)]),
+    "float then negative": _z5_with(cells=[(("mul", 2, 1), 2.0),
+                                           (("mul", 2, 3), -3)]),
+    "add before mul": _z5_with(cells=[(("mul", 0, 0), 9), (("add", 4, 4), 9)],
+                               rows=[("mul", 1, [0, 1])]),
+    "earlier row first": _z5_with(cells=[(("add", 3, 0), -1),
+                                         (("add", 1, 4), 6)]),
+    "bad zero": _z5_with(zero=5),
+    "negative zero": _z5_with(zero=-1),
+    "float one": _z5_with(one=1.0),
+    "bool one": _z5_with(one=True),
+    "str one": _z5_with(one="1"),
+    "mul shorter": ([[0]], [], 0, 0),
+    "empty": ([], [], 0, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURE_CASES))
+def test_structure_check_matches_the_cell_by_cell_oracle(case):
+    add, mul, zero, one = STRUCTURE_CASES[case]
+    expected = structure_error_brute(add, mul, zero, one)
+    if expected is None:
+        assert core._check_structure(add, mul, zero, one) == len(add)
+        return
+    with pytest.raises(MalformedTableError) as caught:
+        validate(add, mul, zero, one)
+    assert str(caught.value) == expected
+
+
+def test_structure_check_names_the_first_of_random_bad_cells():
+    rng = random.Random(11)
+    bad_values = (-1, 5, 6, 1.0, "2", None, True, False)
+    for _ in range(300):
+        cells = [((rng.choice(("add", "mul")), rng.randrange(5),
+                   rng.randrange(5)), rng.choice(bad_values))
+                 for _ in range(rng.randint(1, 4))]
+        add, mul, zero, one = _z5_with(cells=cells,
+                                       zero=rng.choice((0, 0, 0, 5)))
+        expected = structure_error_brute(add, mul, zero, one)
+        if expected is None:
+            assert core._check_structure(add, mul, zero, one) == 5
+            continue
+        with pytest.raises(MalformedTableError) as caught:
+            core._check_structure(add, mul, zero, one)
+        assert str(caught.value) == expected
 
 
 def test_validate_reports_axiom_violation_with_witness():
