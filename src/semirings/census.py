@@ -183,6 +183,8 @@ def _least_relabeling(tables, n: int, pinned: dict[int, int],
 
 
 def _canonical_search(S: FiniteSemiring) -> tuple[bytes, list[int]]:
+    if S.order > 255:  # a key holds the order and each label in one byte
+        raise DomainError(f"canonical keys need order at most 255, not {S.order}")
     vecs = invariant_vectors(S)
     pinned = {S.zero: 0}
     if S.one != S.zero:
@@ -206,7 +208,8 @@ def canonical_form(S: FiniteSemiring) -> bytes:
     The minimum is found by branch and bound rather than by flattening
     every candidate; among relabelings that tie on the key,
     `canonical_relabel` uses the one with the lex-least tuple of block
-    positions, the first in the order of the exhaustive search.
+    positions, the first in the order of the exhaustive search.  Orders
+    above 255 raise DomainError, as each label is one byte of the key.
     """
     return _canonical_search(S)[0]
 

@@ -296,12 +296,16 @@ def validate(add, mul, zero: int, one: int) -> AxiomReport:
     return AxiomReport(valid=not bad, violations=tuple(bad))
 
 
-def _generators(table, seeds: Iterable[int], n: int) -> list[int]:
-    """A generating set of (carrier, table), found greedily.
+def _walk(rows, seeds: Iterable[int], n: int):
+    """The greedy right-extension walk of an operation's table `rows`.
 
-    Takes the seeds, then the least element not yet reached, until every
-    element is reached: is a generator or a reached element times a
-    generator on the right.
+    The next generator g is the next seed, then the least element not yet
+    reached.  The walk reaches g, then rg for each r reached before g,
+    then rh for each newly reached r and each generator h so far, until
+    nothing new turns up.  Yields (x, r, g) for each newly reached x: r is
+    None when x is the new generator g, else x = rg.  A row is read only
+    after its element has been yielded, so `rows` may be filled in as the
+    walk goes.
     """
     gens: list[int] = []
     found: list[int] = []
@@ -312,60 +316,48 @@ def _generators(table, seeds: Iterable[int], n: int) -> list[int]:
         if reached[g]:
             continue
         i = len(found)
-        for v in [g] + [table[r][g] for r in found]:
-            if not reached[v]:
-                reached[v] = True
-                found.append(v)
         gens.append(g)
-        while i < len(found):
-            row = table[found[i]]
-            for h in gens:
-                v = row[h]
-                if not reached[v]:
-                    reached[v] = True
-                    found.append(v)
+        steps = [(g, None, g)] + [(rows[r][g], r, g) for r in found]
+        while True:
+            for x, r, h in steps:
+                if not reached[x]:
+                    reached[x] = True
+                    found.append(x)
+                    yield x, r, h
+            if i == len(found):
+                break
+            r = found[i]
+            steps = [(rows[r][h], r, h) for h in gens]
             i += 1
-    return gens
+
+
+def _generators(table, seeds: Iterable[int], n: int) -> list[int]:
+    """A generating set of (carrier, table), found greedily by `_walk`:
+    every element is a generator or a reached element times a generator
+    on the right."""
+    return [g for _, r, g in _walk(table, seeds, n) if r is None]
 
 
 def _generated_table(carrier, index, op, seeds) -> list[tuple[int, ...]]:
     """The table of an associative operation op on `carrier`, evaluating
     op only on the rows of a generating set.
 
-    The generating set is the greedy one `_generators` would find in the
-    finished table.  Every other x is first reached as x = x'g, with x'
-    reached before it and g a generator; associativity gives
-    (x'g)y = x'(gy), so row(x)[y] = row(x')[row(g)[y]] and row(x) is one
-    gather of row(x') along row(g).  For matrices over a semiring, sum and
-    product are associative, so this is the table `tabulate` would build.
+    The walk of `_walk` reaches each x that is not a generator as x = rg,
+    with r reached before it and g a generator; associativity gives
+    (rg)y = r(gy), so row(x)[y] = row(r)[row(g)[y]] and row(x) is one
+    gather of row(r) along row(g).  The generating set is the one
+    `_generators` would find in the finished table.  For matrices over a
+    semiring, sum and product are associative, so this is the table
+    `tabulate` would build.
     """
-    n = len(carrier)
-    rows: list = [None] * n
+    rows: list = [None] * len(carrier)
     gathers: dict[int, itemgetter] = {}  # generator -> gather along its row
-    found: list[int] = []
-    for g in (*seeds, *range(n)):
-        if len(found) == n:
-            break
-        if rows[g] is not None:
-            continue
-        x = carrier[g]
-        rows[g] = tuple(index[op(x, y)] for y in carrier)
-        i = len(found)
-        found.append(g)
-        gathers[g] = gather = itemgetter(*rows[g])
-        for r in found[:i]:
-            v = rows[r][g]
-            if rows[v] is None:
-                rows[v] = gather(rows[r])
-                found.append(v)
-        while i < len(found):
-            row = rows[found[i]]
-            for h, gather in gathers.items():
-                v = row[h]
-                if rows[v] is None:
-                    rows[v] = gather(row)
-                    found.append(v)
-            i += 1
+    for x, r, g in _walk(rows, seeds, len(carrier)):
+        if r is None:
+            rows[x] = tuple(index[op(carrier[x], y)] for y in carrier)
+            gathers[g] = itemgetter(*rows[x])
+        else:
+            rows[x] = gathers[g](rows[r])
     return rows
 
 

@@ -418,76 +418,75 @@ def peirce_decompose(S: FiniteSemiring) -> PeirceResult:
 
 
 def isomorphic(S: FiniteSemiring, T: FiniteSemiring) -> tuple[int, ...] | None:
-    """Search for a bijection preserving both tables, fixing zero and one.
+    """An isomorphism S -> T as the tuple of images, or None.
 
-    Backtracking over candidate images pruned by per-element invariant
-    vectors; pruning affects speed only, a full table check guards the
-    returned witness.
+    Zero goes to zero and one to one, as equal invariant-vector multisets
+    force: zero is the only element of nilpotency index 1, one the only
+    idempotent unit.  The other elements of S, by the size of their
+    invariant-vector block in T, ties by index, try the unused elements of
+    that block in ascending order.  An image stays only if the sums and
+    products of its element with every mapped one, both ways round, map
+    consistently; a full map is returned only if it carries both tables,
+    else the search backtracks.  As no pruning drops an extendable prefix,
+    the witness is the isomorphism whose images of the non-pinned
+    elements, in that order, form the lexicographically least tuple.
     """
     if S.order != T.order:
         return None
-    vec_s = invariant_vectors(S)
-    vec_t = invariant_vectors(T)
-    candidates: list[list[int]] = []
-    for a in S.elements:
-        cands = [b for b in T.elements if vec_t[b] == vec_s[a]]
-        candidates.append(cands)
-    mapping = [-1] * S.order
-    used = [False] * T.order
-
-    def pin(a: int, b: int) -> bool:
-        if vec_s[a] != vec_t[b]:
-            return False
-        mapping[a] = b
-        used[b] = True
-        return True
-
-    if not pin(S.zero, T.zero):
+    vec_s, vec_t = invariant_vectors(S), invariant_vectors(T)
+    if sorted(vec_s) != sorted(vec_t):
         return None
-    if S.one != S.zero and not pin(S.one, T.one):
-        return None
-    free = [a for a in S.elements if mapping[a] == -1]
-    free.sort(key=lambda a: len(candidates[a]))
+    blocks: dict[tuple, list[int]] = {}
+    for b in T.elements:
+        blocks.setdefault(vec_t[b], []).append(b)
+    mapping, inv = [-1] * S.order, [-1] * T.order  # S -> T, T -> S
+    for a, b in ((S.zero, T.zero), (S.one, T.one)):
+        mapping[a], inv[b] = b, a
+    pinned = sorted({S.zero, S.one})
+    free = sorted((a for a in S.elements if mapping[a] < 0),
+                  key=lambda a: len(blocks[vec_s[a]]))
+    tries: list = []  # the untried images of free[0], free[1], ...
 
-    def consistent(a: int) -> bool:
-        for u in S.elements:
-            if mapping[u] == -1:
-                continue
-            for x, y in ((a, u), (u, a)):
-                s_add = S.plus(x, y)
-                if mapping[s_add] != -1 and \
-                        mapping[s_add] != T.plus(mapping[x], mapping[y]):
-                    return False
-                s_mul = S.times(x, y)
-                if mapping[s_mul] != -1 and \
-                        mapping[s_mul] != T.times(mapping[x], mapping[y]):
+    def fits(a: int, done: list[int]) -> bool:
+        b = mapping[a]
+        for u in done:
+            v = mapping[u]
+            for s, t in ((S.add[a][u], T.add[b][v]), (S.add[u][a], T.add[v][b]),
+                         (S.mul[a][u], T.mul[b][v]), (S.mul[u][a], T.mul[v][b])):
+                if mapping[s] != t and (mapping[s] >= 0 or inv[t] >= 0):
                     return False
         return True
 
-    def backtrack(i: int) -> bool:
-        if i == len(free):
-            return True
+    def advance(i: int) -> bool:
+        """Move free[i] to its next unused image that fits, if any."""
         a = free[i]
-        for b in candidates[a]:
-            if used[b]:
-                continue
-            mapping[a] = b
-            used[b] = True
-            if consistent(a) and backtrack(i + 1):
-                return True
+        if mapping[a] >= 0:
+            inv[mapping[a]] = -1
             mapping[a] = -1
-            used[b] = False
+        for b in tries[i]:
+            if inv[b] < 0:
+                mapping[a], inv[b] = b, a
+                if fits(a, pinned + free[:i + 1]):
+                    return True
+                mapping[a], inv[b] = -1, -1
         return False
 
-    if not backtrack(0):
-        return None
-    for a in S.elements:
-        for b in S.elements:
-            if mapping[S.plus(a, b)] != T.plus(mapping[a], mapping[b]):
-                raise InternalCheckError("isomorphism witness fails addition")
-            if mapping[S.times(a, b)] != T.times(mapping[a], mapping[b]):
-                raise InternalCheckError("isomorphism witness fails multiplication")
-    return tuple(mapping)
+    def carries() -> bool:
+        image = mapping.__getitem__
+        return all(list(map(image, s[a])) == list(map(t[b].__getitem__, mapping))
+                   for s, t in ((S.add, T.add), (S.mul, T.mul))
+                   for a, b in enumerate(mapping))
+
+    # Depth-first without recursion, so carriers of any size fit the stack.
+    while True:
+        if len(tries) < len(free):
+            tries.append(iter(blocks[vec_s[free[len(tries)]]]))
+        elif carries():
+            return tuple(mapping)
+        while tries and not advance(len(tries) - 1):
+            tries.pop()
+        if not tries:
+            return None
 
 
 def idempotent_without_orthogonal_complement(S: FiniteSemiring) -> int | None:

@@ -53,33 +53,6 @@ def closure_by_sets(S: FiniteSemiring, generators, op_name: str) -> frozenset:
         members = grown
 
 
-def axiom_sweep(S: FiniteSemiring) -> list[str]:
-    """Re-check every axiom with direct loops; returns failure notes."""
-    bad = []
-    rng = range(S.order)
-    for a in rng:
-        for b in rng:
-            if S.add[a][b] != S.add[b][a]:
-                bad.append(f"a+b != b+a at ({a},{b})")
-            for c in rng:
-                if S.add[S.add[a][b]][c] != S.add[a][S.add[b][c]]:
-                    bad.append(f"add assoc at ({a},{b},{c})")
-                if S.mul[S.mul[a][b]][c] != S.mul[a][S.mul[b][c]]:
-                    bad.append(f"mul assoc at ({a},{b},{c})")
-                if S.mul[a][S.add[b][c]] != S.add[S.mul[a][b]][S.mul[a][c]]:
-                    bad.append(f"left dist at ({a},{b},{c})")
-                if S.mul[S.add[a][b]][c] != S.add[S.mul[a][c]][S.mul[b][c]]:
-                    bad.append(f"right dist at ({a},{b},{c})")
-    for a in rng:
-        if S.add[S.zero][a] != a:
-            bad.append(f"0+{a} != {a}")
-        if S.mul[S.one][a] != a or S.mul[a][S.one] != a:
-            bad.append(f"identity fails at {a}")
-        if S.mul[S.zero][a] != S.zero or S.mul[a][S.zero] != S.zero:
-            bad.append(f"annihilation fails at {a}")
-    return bad
-
-
 def structure_error_brute(add, mul, zero, one) -> str | None:
     """The message of the first structural fault that `validate` refuses
     with `MalformedTableError`, found cell by cell, or None."""
@@ -134,6 +107,11 @@ def axiom_violations(add, mul, zero: int, one: int) -> list[tuple]:
                 if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]:
                     bad.append(("right-distributivity", (a, b, c)))
     return bad
+
+
+def axiom_sweep(S: FiniteSemiring) -> list[tuple]:
+    """Every violated axiom instance of S, by `axiom_violations`."""
+    return axiom_violations(S.add, S.mul, S.zero, S.one)
 
 
 def matrix_semiring_brute(S: FiniteSemiring, n: int,
@@ -242,6 +220,32 @@ def invariant_vectors_brute(S: FiniteSemiring) -> list[tuple]:
     class report of `classify_brute`."""
     classes = classify_brute(S)
     return [_invariant_vector(S, a, classes) for a in S.elements]
+
+
+def isomorphism_brute(S: FiniteSemiring,
+                      T: FiniteSemiring) -> tuple[int, ...] | None:
+    """The isomorphism S -> T that `isomorphic` promises, or None: every
+    bijection sending zero to zero and one to one is tried, and the first
+    that carries both tables is returned, with the other elements of S
+    ordered by how many elements of T share their invariant vector (from
+    `invariant_vectors_brute`), ties by index, and the tuples of their
+    images in lexicographic order."""
+    if S.order != T.order:
+        return None
+    vec_s, vec_t = invariant_vectors_brute(S), invariant_vectors_brute(T)
+    rest = [a for a in S.elements if a not in (S.zero, S.one)]
+    rest.sort(key=lambda a: vec_t.count(vec_s[a]))
+    targets = [b for b in T.elements if b not in (T.zero, T.one)]
+    for images in itertools.permutations(targets):
+        f = [0] * S.order
+        f[S.zero], f[S.one] = T.zero, T.one
+        for a, b in zip(rest, images):
+            f[a] = b
+        if all(f[S.plus(a, b)] == T.plus(f[a], f[b])
+               and f[S.times(a, b)] == T.times(f[a], f[b])
+               for a in S.elements for b in S.elements):
+            return tuple(f)
+    return None
 
 
 def nilpotent_by_long_sweep(S: FiniteSemiring, a: int) -> int | None:
@@ -637,3 +641,13 @@ def max_min_chain_semiring() -> FiniteSemiring:
     add = [[max(i, j) for j in range(3)] for i in range(3)]
     mul = [[min(i, j) for j in range(3)] for i in range(3)]
     return make_semiring(add, mul, 0, 2, ("0", "e", "1"))
+
+
+def doubled_one_semiring() -> FiniteSemiring:
+    """Order 5: 1 + 1 = 2, every other sum of two nonzero elements is 4,
+    and so is every product of two elements outside {0, 1}.  The elements
+    2 and 3 share their invariant vector; only the sum 1 + 1 tells them
+    apart."""
+    add = [[int(c) for c in row] for row in "01234 12444 24444 34444 44444".split()]
+    mul = [[int(c) for c in row] for row in "00000 01234 02444 03444 04444".split()]
+    return make_semiring(add, mul, 0, 1)

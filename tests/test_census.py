@@ -173,6 +173,13 @@ def test_key_identifies_crt_isomorphs(z3x):
         direct_product(zmod(3), zmod(3)))
 
 
+def test_canonical_keys_refuse_orders_above_255():
+    S = zmod(256)
+    for key in (canonical_form, canonical_relabel):
+        with pytest.raises(DomainError, match="order at most 255, not 256"):
+            key(S)
+
+
 def test_canonical_relabel_is_isomorphic(z3x):
     R = canonical_relabel(z3x)
     assert isomorphic(R, z3x) is not None

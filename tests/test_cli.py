@@ -7,13 +7,14 @@ from pathlib import Path
 import pytest
 
 import semirings
-from oracles import orthogonal_decompositions_brute
+from oracles import doubled_one_semiring, orthogonal_decompositions_brute
 from semirings import (
     SemiringError,
     boolean_semiring,
     from_preset,
     parse_semiring_file,
     presentation,
+    reindex,
     serialize_semiring,
 )
 from semirings.cli import _EXIT_CODES, emit_report, main, run
@@ -325,6 +326,16 @@ def test_iso_command_found():
                         "--preset", "product:zmod:3,zmod:3"])
     assert code == 0 and report["verdict"] == "ok"
     assert report["result"]["mapping"]["0"] == "(0,0)"
+
+
+def test_iso_command_on_files_backtracks(tmp_path, capsys):
+    S = doubled_one_semiring()
+    paths = [tmp_path / "a.sr", tmp_path / "b.sr"]
+    for path, R in zip(paths, (S, reindex(S, [0, 1, 3, 2, 4]))):
+        path.write_text(serialize_semiring(R))
+    assert main(["iso", "--file", str(paths[0]), "--file", str(paths[1]),
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["isomorphic"] is True
 
 
 def test_validate_command_on_preset():

@@ -1,4 +1,8 @@
+import functools
+import inspect
+import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +14,8 @@ from semirings import (
     add_closure,
     direct_product,
     element_classes,
+    enumerate_semirings,
+    from_preset,
     is_nilpotent,
     isomorphic,
     lift_nilidempotent,
@@ -32,7 +38,13 @@ from semirings.ops import (
     MODE_MULT,
 )
 
-from oracles import closure_by_sets, fixture_semirings, max_min_chain_semiring
+from oracles import (
+    closure_by_sets,
+    doubled_one_semiring,
+    fixture_semirings,
+    isomorphism_brute,
+    max_min_chain_semiring,
+)
 
 FIXTURES = fixture_semirings()
 
@@ -425,3 +437,77 @@ def test_non_isomorphic_same_order(z4, z2x):
     # zmod(4) has a unit of additive order 4, the poly quotient does not
     assert isomorphic(z4, z2x) is None
     assert isomorphic(z2x, direct_product(zmod(2), zmod(2))) is None
+
+
+def _carries(f, A, B) -> bool:
+    return all(f[A.plus(a, b)] == B.plus(f[a], f[b])
+               and f[A.times(a, b)] == B.times(f[a], f[b])
+               for a in A.elements for b in A.elements)
+
+
+def test_isomorphism_backtracks_from_a_failed_leaf():
+    # In the copy 1 + 1 = 3: mapping 2 to 2 and 3 to 3 passes every check
+    # made while the map grows, and only the full-table check at the leaf
+    # rejects it.
+    S = doubled_one_semiring()
+    T = reindex(S, [0, 1, 3, 2, 4])
+    for A, B in ((S, T), (T, S)):
+        f = isomorphic(A, B)
+        assert f == (0, 1, 3, 2, 4)
+        assert _carries(f, A, B)
+
+
+@functools.cache
+def _catalog(order: int):
+    return enumerate_semirings(order, max_order=5)
+
+
+def _relabelled(S, rng):
+    perm = list(S.elements)
+    rng.shuffle(perm)
+    return reindex(S, perm)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_isomorphism_witness_is_the_brute_force_one(order):
+    rng = random.Random(order)
+    for S in _catalog(order):
+        T = _relabelled(S, rng)
+        for A, B in ((S, T), (T, S)):
+            f = isomorphic(A, B)
+            assert f is not None and f == isomorphism_brute(A, B)
+            assert _carries(f, A, B)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_distinct_catalog_semirings_are_not_isomorphic(order):
+    rng = random.Random(order)
+    copies = [_relabelled(S, rng) for S in _catalog(order)]
+    for A, B in itertools.permutations(copies, 2):
+        assert isomorphic(A, B) is None
+        assert isomorphism_brute(A, B) is None
+
+
+def test_isomorphism_witness_takes_small_blocks_first():
+    # Z/3 x Z/3 has two automorphisms and blocks of several sizes, so which
+    # isomorphism is the least depends on the order the elements are taken.
+    P, Q = from_preset("z3x-sqm1"), from_preset("product:zmod:3,zmod:3")
+    rng = random.Random(9)
+    pairs = [(P, Q)] + [(S, _relabelled(S, rng)) for S in (P, Q) for _ in range(4)]
+    for S, T in pairs:
+        for A, B in ((S, T), (T, S)):
+            assert isomorphic(A, B) == isomorphism_brute(A, B)
+
+
+def test_isomorphism_search_depth_is_not_bounded_by_the_stack():
+    # A search recursing once per element would need 62 more frames here;
+    # large carriers such as zmod:1024 would hit the default limit.
+    S = zmod(64)
+    T = _relabelled(S, random.Random(3))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        f = isomorphic(S, T)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert f is not None and _carries(f, S, T)
