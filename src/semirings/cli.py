@@ -256,6 +256,9 @@ def _dispatch(args) -> tuple[str, dict, dict]:
         from .census import scan
         if args.max_order < 1:
             raise DomainError(f"max order {args.max_order} is below 1")
+        if args.max_order > DEFAULT_MAX_ORDER:
+            raise DomainError(f"max order {args.max_order} is above "
+                              f"{DEFAULT_MAX_ORDER}")
         theorem_ids = THEOREM_IDS if args.theorem == "all" else (args.theorem,)
         report = scan(range(1, args.max_order + 1), theorem_ids,
                       include_trivial=args.include_trivial)

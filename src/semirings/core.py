@@ -361,6 +361,23 @@ def _generated_table(carrier, index, op, seeds) -> list[tuple[int, ...]]:
     return rows
 
 
+def _rows(table, n: int):
+    """The rows of a table of order n, ready to be composed: (rows, data, at).
+
+    at[x](data[r]) is row r composed with row x, holding r[x[i]] at i, and
+    compares equal to rows[y] exactly when that is row y.  Up to order 256
+    a row is `bytes` and composing is one `bytes.translate` call, data[r]
+    being row r padded to a 256-byte translation table; above that rows
+    are tuples and at[x] is `itemgetter(*x)`.
+    """
+    if n <= 256:
+        rows = [bytes(row) for row in table]
+        pad = bytes(256 - n)
+        return rows, [row + pad for row in rows], [row.translate for row in rows]
+    rows = [tuple(row) for row in table]
+    return rows, rows, [itemgetter(*row) for row in rows]
+
+
 def _generated_laws_hold(add, mul, zero: int, one: int, n: int) -> bool:
     """True only if the tables form a semiring; False means "sweep".
 
@@ -369,38 +386,35 @@ def _generated_laws_hold(add, mul, zero: int, one: int, n: int) -> bool:
     (xg)y = x(gy), then (x(gh))y = ((xg)h)y = (xg)(hy) = x(g(hy)) = x((gh)y),
     and likewise for +.  Given associativity, g, h good for g(x+y) = gx+gy
     give (gh)(x+y) = g(hx+hy) = (gh)x+(gh)y, and the same on the right.  A
-    closed set holding a generating set is the whole carrier.
+    closed set holding a generating set is the whole carrier.  Each law is
+    checked as rows over y, composed by `_rows`.
     """
     add_zero, mul_zero, mul_one = add[zero], mul[zero], mul[one]
     for a in range(n):
         if (add_zero[a] != a or add[a][zero] != a or mul_one[a] != a
                 or mul[a][one] != a or mul_zero[a] != zero or mul[a][zero] != zero):
             return False
-    for a in range(n):
-        row = add[a]
-        if any(row[b] != add[b][a] for b in range(a)):
-            return False
+    add, add_data, at_add = _rows(add, n)
+    if any(tuple(row) != col for row, col in zip(add, zip(*add))):
+        return False
     for g in _generators(add, (zero,), n):
-        # (x+g)+y = x+(g+y), as rows over y
-        plus_g = itemgetter(*add[g])
-        if any(tuple(add[ax[g]]) != plus_g(ax) for ax in add):
+        # (x+g)+y = x+(g+y)
+        if any(add[ax[g]] != at_add[g](dx) for ax, dx in zip(add, add_data)):
             return False
+    mul, mul_data, at_mul = _rows(mul, n)
     gens = _generators(mul, (zero, one), n)
     for g in gens:
-        # (xg)y = x(gy), as rows over y
-        times_g = itemgetter(*mul[g])
-        if any(tuple(mul[mx[g]]) != times_g(mx) for mx in mul):
+        # (xg)y = x(gy)
+        if any(mul[mx[g]] != at_mul[g](dx) for mx, dx in zip(mul, mul_data)):
             return False
-    sides = []
-    for g in gens:
-        left, right = mul[g], tuple(map(itemgetter(g), mul))
-        sides.append((left, itemgetter(*left), right, itemgetter(*right)))
-    for x, ax in enumerate(add):
-        plus_x = itemgetter(*ax)
-        for left, at_left, right, at_right in sides:
-            # g(x+y) = gx+gy and (x+y)g = xg+yg, as rows over y
-            if (plus_x(left) != at_left(add[left[x]])
-                    or plus_x(right) != at_right(add[right[x]])):
+    # column g of *, for each generator g
+    cols = _rows([[row[g] for row in mul] for g in gens], n)
+    sides = list(zip(gens, *cols))
+    for x, at_x in enumerate(at_add):
+        for g, col, col_data, at_col in sides:
+            # g(x+y) = gx+gy and (x+y)g = xg+yg
+            if (at_x(mul_data[g]) != at_mul[g](add_data[mul[g][x]])
+                    or at_x(col_data) != at_col(add_data[col[x]])):
                 return False
     return True
 
@@ -408,9 +422,11 @@ def _generated_laws_hold(add, mul, zero: int, one: int, n: int) -> bool:
 def _sweep(add, mul, zero: int, one: int, n: int) -> list[AxiomViolation]:
     """Every violated axiom instance, in the order of direct O(n^3) loops.
 
-    The loop over c runs for each (a, b) below order `_SWEEP_BELOW`, and
-    from there on only for the (a, b) that `_suspects` keeps; every other
-    (a, b) holds all four laws for every c, so the list is the same.
+    The loop over b for commutativity runs only on a row of + that differs
+    from its column.  The loop over c runs for each (a, b) below order
+    `_SWEEP_BELOW`, and from there on only for the (a, b) that `_suspects`
+    keeps; every other (a, b) holds all four laws for every c, so the list
+    is the same.
     """
     rng = range(n)
     bad: list[AxiomViolation] = []
@@ -424,10 +440,10 @@ def _sweep(add, mul, zero: int, one: int, n: int) -> list[AxiomViolation]:
             bad.append(AxiomViolation("left-annihilation", (a, 0, 0)))
         if mul[a][zero] != zero:
             bad.append(AxiomViolation("right-annihilation", (a, 0, 0)))
-    for a in rng:
-        for b in rng:
-            if add[a][b] != add[b][a]:
-                bad.append(AxiomViolation("add-commutativity", (a, b, 0)))
+    for a, (row, col) in enumerate(zip(add, zip(*add))):
+        if tuple(row) != col:
+            bad.extend(AxiomViolation("add-commutativity", (a, b, 0))
+                       for b in rng if row[b] != col[b])
     suspects = [rng] * n if n < _SWEEP_BELOW else _suspects(add, mul, n)
     for a in rng:
         adda, mula = add[a], mul[a]
@@ -450,32 +466,28 @@ def _sweep(add, mul, zero: int, one: int, n: int) -> list[AxiomViolation]:
 
 def _suspects(add, mul, n: int) -> list[list[int]]:
     """For each a, the b, in order, at which some c breaks associativity
-    or distributivity, found by comparing whole rows.
+    or distributivity, found by comparing whole rows composed by `_rows`.
 
-    at_x = itemgetter(*x) composes a row with x: at_x(r)[i] = r[x[i]].  One
-    getter per row of + and * and per column of *, built once, gives the
-    three laws for each (a, b) as rows over c, and right distributivity,
-    (a+b)c = ac + bc, for each (a, c) as rows over b, from column c of *.
+    The rows of + and * give the three laws for each (a, b) as rows over
+    c, and the columns of * give right distributivity, (a+b)c = ac + bc,
+    for each (a, c) as rows over b.
     """
-    add = [tuple(row) for row in add]
-    mul = [tuple(row) for row in mul]
-    cols = list(zip(*mul))
-    at_add = [itemgetter(*row) for row in add]
-    at_mul = [itemgetter(*row) for row in mul]
+    add, add_data, at_add = _rows(add, n)
+    mul, mul_data, at_mul = _rows(mul, n)
+    cols, col_data, at_col = _rows(zip(*mul), n)
     suspects: list[set[int]] = [set() for _ in range(n)]
-    for col in cols:
-        at_col = itemgetter(*col)
-        for a, at_adda in enumerate(at_add):
-            left, right = at_adda(col), at_col(add[col[a]])
+    for col, dcol, at_c in zip(cols, col_data, at_col):
+        for a, at_a in enumerate(at_add):
+            left, right = at_a(dcol), at_c(add_data[col[a]])
             if left != right:
                 suspects[a].update(b for b in range(n) if left[b] != right[b])
-    for a in range(n):
-        adda, mula, at_mula, bad = add[a], mul[a], at_mul[a], suspects[a]
-        for b in range(n):
-            at_addb = at_add[b]
+    for a, bad in enumerate(suspects):
+        adda, mula, da, dm, at_ma = (add[a], mul[a], add_data[a], mul_data[a],
+                                     at_mul[a])
+        for b, (at_b, at_mb) in enumerate(zip(at_add, at_mul)):
             # (a+b)+c = a+(b+c), (ab)c = a(bc) and a(b+c) = ab+ac
-            if (add[adda[b]] != at_addb(adda) or mul[mula[b]] != at_mul[b](mula)
-                    or at_addb(mula) != at_mula(add[mula[b]])):
+            if (add[adda[b]] != at_b(da) or mul[mula[b]] != at_mb(dm)
+                    or at_b(dm) != at_ma(add_data[mula[b]])):
                 bad.add(b)
     return [sorted(bad) for bad in suspects]
 
@@ -695,8 +707,8 @@ def _classify(S: FiniteSemiring) -> tuple[ClassReport, list[tuple]]:
     nil_sums = itemgetter(S.zero, *nil_index)
     nilidem = [e for e in S.elements if S.mul[e][e] in nil_sums(S.add[e])]
     idem = [a for a, vector in enumerate(vectors) if vector[0]]
-    center = [a for a, row in enumerate(S.mul)
-              if row == tuple(map(itemgetter(a), S.mul))]
+    center = [a for a, (row, col) in enumerate(zip(S.mul, zip(*S.mul)))
+              if row == col]
     n = S.order
     report = ClassReport(
         idempotents=ElementSet.of(idem, n),

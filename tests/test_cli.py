@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import semirings
 from oracles import doubled_one_semiring, orthogonal_decompositions_brute
@@ -194,6 +196,18 @@ def test_census_rejects_a_max_order_below_one(value):
     code, report = run(["census", "--max-order", value])
     assert code == 1 and report["verdict"] == "error"
     assert report["result"] == {"error": f"max order {value} is below 1",
+                                "kind": "DomainError"}
+
+
+@pytest.mark.parametrize("value", ["5", "9"])
+def test_census_rejects_a_max_order_above_the_cap(value, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr("semirings.census.scan", no_scan)
+    code, report = run(["census", "--max-order", value])
+    assert code == 1 and report["verdict"] == "error"
+    assert report["result"] == {"error": f"max order {value} is above 4",
                                 "kind": "DomainError"}
 
 
@@ -509,3 +523,85 @@ def test_census_json_violations_key_present_when_empty():
     _, report = run(["census", "--max-order", "2", "--json"])
     rendered = json.loads(emit_report(report, "json"))
     assert rendered["result"]["violations"] == []
+
+
+# --------------------------------------------------------------- fuzzing
+
+# Presets of order at most 16, symbolic models and malformed names.
+_FUZZ_PRESETS = ("bool", "t2b", "m2z2", "z2x-sq", "z3x-sqm1",
+                 "bxy-presentation", "nat", "nn-triple", "zmod:1", "zmod:16",
+                 "product:bool,zmod:4", "triangular:bool,2", "matrix:bool,2",
+                 "zmod:x", "zmod:-1", "product:bool", "matrix:bool", "nope")
+_FUZZ_LABELS = ("0", "1", "2", "f", "x", "[0 1;0 0]", "[1 0;0 1]", "", "?")
+_FUZZ_INTS = ("-2", "0", "1", "2", "3", "4", "5", "x", "1.5")
+_FUZZ_THEOREMS = semirings.core.THEOREM_IDS + ("all", "x")
+# Each command's own options, with values in and out of their domain.
+_FUZZ_OPTIONS = {
+    "validate": {}, "classify": {}, "peirce": {}, "iso": {},
+    "closure": {"--mode": ("mult", "add", "x"),
+                "--generators": ("idempotents", "nilidempotents")},
+    "complement": {"--element": _FUZZ_LABELS,
+                   "--kind": ("orthogonal", "nilorthogonal", "x")},
+    "decompose": {"--element": _FUZZ_LABELS, "--max-len": _FUZZ_INTS},
+    "lift": {"--element": _FUZZ_LABELS},
+    "invert": {"--element": _FUZZ_LABELS},
+    "check": {"--theorem": _FUZZ_THEOREMS},
+    "census": {"--max-order": _FUZZ_INTS, "--theorem": _FUZZ_THEOREMS,
+               "--include-trivial": ()},
+    "build": {"--out": ()},
+}
+# `--max-iter` is an option of no command, so argparse refuses it.
+_FUZZ_JUNK = ("--bogus", "--max-iter", "-x", "--", "-", "--json=1",
+              "--preset=bool", "--max-order=3", "--element", "\u00fc", "@args")
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory) -> list[str]:
+    """Paths to a valid semiring file, a malformed one, a file that is not
+    UTF-8, a directory and a missing file; the last is where `build --out`
+    writes."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "t2b.sr").write_text(serialize_semiring(from_preset("t2b")))
+    (root / "bad.sr").write_text("elements: a b\nadd:\na b\n")
+    (root / "binary.sr").write_bytes(b"\xff\xfe\x00")
+    return [str(root / name) for name in
+            ("t2b.sr", "bad.sr", "binary.sr", ".", "out.sr")]
+
+
+def _fuzz_argv(data, files: list[str]) -> list[str]:
+    """A command line: mostly a command with its required option, one or
+    two inputs and some of its other options; sometimes a junk command or
+    token."""
+    word = st.text(max_size=6).filter(lambda t: not t.startswith("-"))
+    command = data.draw(st.sampled_from((*_FUZZ_OPTIONS, "", "x", "--json")))
+    values = {"--preset": _FUZZ_PRESETS, "--file": files, "--json": (),
+              **_FUZZ_OPTIONS.get(command, {})}
+    if "--out" in values:
+        values["--out"] = files[-1:]
+
+    def group(name: str | None):
+        if name is None:
+            return st.tuples(st.one_of(st.sampled_from(_FUZZ_JUNK), word))
+        if not values[name]:
+            return st.just((name,))
+        return st.tuples(st.just(name), st.sampled_from(values[name]))
+
+    required = [name for name in ("--element", "--theorem")
+                if name in values and command != "census"]
+    inputs = data.draw(st.lists(st.sampled_from(("--preset", "--file")),
+                                min_size=int(command != "census"),
+                                max_size=2))
+    names = data.draw(st.lists(st.sampled_from([*values, None]), max_size=3))
+    groups = [data.draw(group(name)) for name in required + inputs + names]
+    return [command, *(token for g in groups for token in g)]
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_command_line_gives_a_report(data, fuzz_files):
+    argv = _fuzz_argv(data, fuzz_files)
+    code, report = run(argv)
+    assert code in (0, 1, 2)
+    assert report["verdict"] in _EXIT_CODES
+    assert _EXIT_CODES[report["verdict"]] == code

@@ -283,12 +283,22 @@ def _gf2_algebra():
     return add, mul, 0, 1
 
 
+def _first_nonzero_sums():
+    """Z/11 under multiplication, with x + y the first of x, y that is not
+    0.  Having no zero divisors, the product distributes over this sum on
+    both sides; every law but additive commutativity holds."""
+    add = [[x or y for y in range(11)] for x in range(11)]
+    mul = [[x * y % 11 for y in range(11)] for x in range(11)]
+    return add, mul, 0, 1
+
+
 @pytest.mark.parametrize("tables,axiom", [
     (_maps_of_z3(False), "left-distributivity"),
     (_maps_of_z3(True), "right-distributivity"),
     (_fano_sums(), "add-associativity"),
     (_gf2_algebra(), "mul-associativity"),
-], ids=["left-dist", "right-dist", "add-assoc", "mul-assoc"])
+    (_first_nonzero_sums(), "add-commutativity"),
+], ids=["left-dist", "right-dist", "add-assoc", "mul-assoc", "add-comm"])
 def test_tables_breaking_one_law_are_swept(tables, axiom):
     want = axiom_violations(*tables)
     assert {law for law, witness in want} == {axiom}
@@ -318,6 +328,66 @@ def test_small_carriers_take_the_sweep(monkeypatch):
     monkeypatch.setattr(core, "_sweep", counting_sweep)
     assert validate(S.add, S.mul, S.zero, S.one).valid
     assert orders == [7]
+
+
+# Orders on both sides of 256, where `_rows` switches from bytes to tuples.
+@pytest.mark.parametrize("n", [8, 255, 256, 257])
+def test_rows_compose_on_both_sides_of_the_byte_split(n):
+    rng = random.Random(n)
+    table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    # the last row is row 1 composed with row 0, so a composition can
+    # equal a row
+    table[-1] = [table[1][i] for i in table[0]]
+    rows, data, at = core._rows(table, n)
+    assert isinstance(rows[0], bytes) == (n <= 256)
+    pairs = [(0, 1)] + [(rng.randrange(n), rng.randrange(n)) for _ in range(5)]
+    for x, r in pairs:
+        got = at[x](data[r])
+        want = tuple(table[r][i] for i in table[x])
+        assert len(got) == n and all(g == w for g, w in zip(got, want))
+        for y in range(n):
+            assert (got == rows[y]) == (want == tuple(table[y]))
+
+
+@pytest.mark.parametrize("name", ["zmod:256", "zmod:257"])
+def test_valid_tables_at_the_byte_split_take_the_fast_path(name, monkeypatch):
+    S = from_preset(name)
+
+    def no_sweep(*args):
+        raise AssertionError("the full sweep ran")
+
+    monkeypatch.setattr(core, "_sweep", no_sweep)
+    assert validate(S.add, S.mul, S.zero, S.one) == AxiomReport(True, ())
+
+
+def _breaks(add, mul, zero, one, axiom, witness) -> bool:
+    """Whether the instance `witness` of `axiom` fails, read off the tables
+    cell by cell."""
+    a, b, c = witness
+    holds = {
+        "add-identity": add[zero][a] == a == add[a][zero],
+        "mul-identity": mul[one][a] == a == mul[a][one],
+        "left-annihilation": mul[zero][a] == zero,
+        "right-annihilation": mul[a][zero] == zero,
+        "add-commutativity": add[a][b] == add[b][a],
+        "add-associativity": add[add[a][b]][c] == add[a][add[b][c]],
+        "mul-associativity": mul[mul[a][b]][c] == mul[a][mul[b][c]],
+        "left-distributivity": mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]],
+        "right-distributivity": mul[add[a][b]][c] == add[mul[a][c]][mul[b][c]],
+    }
+    return not holds[axiom]
+
+
+def test_perturbed_table_above_the_byte_split_lists_real_violations():
+    S = zmod(257)
+    rng = random.Random(257)
+    mul = [list(row) for row in S.mul]
+    i, j = rng.randrange(2, 257), rng.randrange(2, 257)
+    mul[i][j] = (mul[i][j] + rng.randrange(1, 257)) % 257
+    report = validate(S.add, mul, S.zero, S.one)
+    assert not report.valid and report.violations
+    for v in report.violations:
+        assert _breaks(S.add, mul, S.zero, S.one, v.axiom, v.witness), v
 
 
 # ------------------------------------------------------------------ labels
