@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semirings
@@ -548,7 +548,7 @@ _FUZZ_OPTIONS = {
     "check": {"--theorem": _FUZZ_THEOREMS},
     "census": {"--max-order": _FUZZ_INTS, "--theorem": _FUZZ_THEOREMS,
                "--include-trivial": ()},
-    "build": {"--out": ()},
+    "build": {},
 }
 # `--max-iter` is an option of no command, so argparse refuses it.
 _FUZZ_JUNK = ("--bogus", "--max-iter", "-x", "--", "-", "--json=1",
@@ -576,7 +576,7 @@ def _fuzz_argv(data, files: list[str]) -> list[str]:
     command = data.draw(st.sampled_from((*_FUZZ_OPTIONS, "", "x", "--json")))
     values = {"--preset": _FUZZ_PRESETS, "--file": files, "--json": (),
               **_FUZZ_OPTIONS.get(command, {})}
-    if "--out" in values:
+    if command == "build":
         values["--out"] = files[-1:]
 
     def group(name: str | None):
@@ -596,8 +596,7 @@ def _fuzz_argv(data, files: list[str]) -> list[str]:
     return [command, *(token for g in groups for token in g)]
 
 
-@settings(max_examples=120, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_every_command_line_gives_a_report(data, fuzz_files):
     argv = _fuzz_argv(data, fuzz_files)
