@@ -42,13 +42,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="semirings", allow_abbrev=False,
         description="Finite-semiring classification, decomposition and "
                     "theorem checking.")
-    common = argparse.ArgumentParser(add_help=False)
+    json_only = argparse.ArgumentParser(add_help=False)
+    json_only.add_argument("--json", action="store_true",
+                           help="emit the report as JSON")
+    common = argparse.ArgumentParser(add_help=False, parents=[json_only])
     common.add_argument("--file", action="append", default=[],
                         help="semiring file input (repeatable)")
     common.add_argument("--preset", action="append", default=[],
                         help="preset name input (repeatable)")
-    common.add_argument("--json", action="store_true",
-                        help="emit the report as JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str) -> argparse.ArgumentParser:
@@ -77,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     command("iso")
     p = command("check")
     p.add_argument("--theorem", choices=THEOREM_IDS, required=True)
-    p = command("census")
+    # the census takes no inputs
+    p = sub.add_parser("census", parents=[json_only], allow_abbrev=False)
     p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     p.add_argument("--theorem", choices=THEOREM_IDS + ("all",), default="all")
     p.add_argument("--include-trivial", action="store_true")
@@ -218,17 +220,15 @@ def _cmd_validate(args) -> tuple[str, dict, dict]:
     descriptor = {"files": list(args.file), "presets": list(args.preset)}
     if len(args.file) + len(args.preset) != 1:
         raise DomainError("this command takes exactly one input")
-    if args.file:
-        from .fileformat import parse_semiring_tables
-        add, mul, zero, one, labels = parse_semiring_tables(
-            Path(args.file[0]).read_text())
-        report = validate(add, mul, zero, one)
-    else:
-        S = from_preset(args.preset[0])
-        if not isinstance(S, FiniteSemiring):
+    if args.preset:
+        # `make_semiring` validated the preset's tables as it built them
+        if not isinstance(from_preset(args.preset[0]), FiniteSemiring):
             raise DomainError("symbolic models have no finite tables")
-        labels = S.labels
-        report = validate(S.add, S.mul, S.zero, S.one)
+        return "ok", descriptor, {"valid": True, "violations": []}
+    from .fileformat import parse_semiring_tables
+    add, mul, zero, one, labels = parse_semiring_tables(
+        Path(args.file[0]).read_text())
+    report = validate(add, mul, zero, one)
     payload = {
         "valid": report.valid,
         "violations": [
@@ -243,15 +243,6 @@ def _dispatch(args) -> tuple[str, dict, dict]:
     if args.command == "validate":
         return _cmd_validate(args)
 
-    inputs, descriptor = _load_inputs(args)
-
-    if args.command == "classify":
-        if len(inputs) != 1:
-            raise DomainError("this command takes exactly one input")
-        if isinstance(inputs[0], FiniteSemiring):
-            return "ok", descriptor, _classify_payload(inputs[0])
-        return "ok", descriptor, _classify_symbolic(inputs[0])
-
     if args.command == "census":
         from .census import scan
         if args.max_order < 1:
@@ -265,6 +256,15 @@ def _dispatch(args) -> tuple[str, dict, dict]:
         verdict = "violation" if report.violations else "ok"
         return verdict, {"files": [], "presets": [],
                          "max_order": args.max_order}, _scan_payload(report)
+
+    inputs, descriptor = _load_inputs(args)
+
+    if args.command == "classify":
+        if len(inputs) != 1:
+            raise DomainError("this command takes exactly one input")
+        if isinstance(inputs[0], FiniteSemiring):
+            return "ok", descriptor, _classify_payload(inputs[0])
+        return "ok", descriptor, _classify_symbolic(inputs[0])
 
     if args.command == "build":
         from .fileformat import serialize_semiring

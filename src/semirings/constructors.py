@@ -5,14 +5,7 @@ from __future__ import annotations
 
 import re
 
-from .core import (
-    DomainError,
-    FiniteSemiring,
-    _carrier,
-    _generated_table,
-    make_semiring,
-    tabulate,
-)
+from .core import DomainError, FiniteSemiring, tabulate
 
 DEFAULT_MAX_ELEMENTS = 4096
 
@@ -26,7 +19,7 @@ def _check_size(count: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> None:
 
 def boolean_semiring() -> FiniteSemiring:
     """The two-element semiring {0, 1} with 1 + 1 = 1."""
-    return make_semiring(((0, 1), (1, 1)), ((0, 0), (0, 1)), 0, 1, ("0", "1"))
+    return tabulate((0, 1), max, min, 0, 1, str)
 
 
 def zmod(n: int) -> FiniteSemiring:
@@ -34,20 +27,15 @@ def zmod(n: int) -> FiniteSemiring:
     if n < 1:
         raise DomainError("modulus must be at least 1")
     _check_size(n)
-    add = [[(i + j) % n for j in range(n)] for i in range(n)]
-    mul = [[(i * j) % n for j in range(n)] for i in range(n)]
-    return make_semiring(add, mul, 0, 1 % n, tuple(str(i) for i in range(n)))
+    return tabulate(range(n), lambda a, b: (a + b) % n, lambda a, b: a * b % n,
+                    0, 1 % n, str)
 
 
 def _require_zmod(base: FiniteSemiring) -> int:
-    n = base.order
-    for i in range(n):
-        for j in range(n):
-            if base.add[i][j] != (i + j) % n or base.mul[i][j] != (i * j) % n:
-                raise DomainError("base must carry the zmod(n) tables")
-    if base.zero != 0 or base.one != 1 % n:
+    Z = zmod(base.order)
+    if (base.add, base.mul, base.zero, base.one) != (Z.add, Z.mul, Z.zero, Z.one):
         raise DomainError("base must carry the zmod(n) tables")
-    return n
+    return Z.order
 
 
 def _poly_label(coeffs: tuple[int, ...]) -> str:
@@ -102,19 +90,24 @@ def _matrix_label(S: FiniteSemiring, mat) -> str:
     return "[" + ";".join(" ".join(S.labels[v] for v in row) for row in mat) + "]"
 
 
-def _matrix_semiring(S: FiniteSemiring, n: int, positions,
+def _matrix_semiring(S: FiniteSemiring, n: int, triangular: bool,
                      max_elements: int) -> FiniteSemiring:
-    """The n-by-n matrices over S that are S.zero off `positions`.
+    """The n-by-n matrices over S, upper triangular if asked.
 
-    The carrier is in `tabulate`'s order.  Matrix sum and product over the
-    validated semiring S are associative, so `_generated_table` computes
-    them only for the rows of a generating set and gathers every other
-    row from those; `make_semiring` still validates the tables.
+    The number of free entries is refused over the cap before anything is
+    built: over the trivial base the carrier has one element whatever n
+    is, but the entries and product terms still grow with n.
     """
     if n < 1:
         raise DomainError("matrix dimension must be at least 1")
-    count = S.order ** len(positions)
+    free = n * (n + 1) // 2 if triangular else n * n
+    if free > max_elements:
+        raise DomainError(f"{free} matrix entries exceeds the size cap "
+                          f"{max_elements}")
+    count = S.order ** free
     _check_size(count, max_elements)
+    positions = [(i, j) for i in range(n) for j in range(n)
+                 if i <= j or not triangular]
 
     def decode(e: int):
         mat = [[S.zero] * n for _ in range(n)]
@@ -128,8 +121,8 @@ def _matrix_semiring(S: FiniteSemiring, n: int, positions,
 
     # the k with (i, k) and (k, j) both free; every other term of entry
     # (i, j) of a product has the factor S.zero, which annihilates
-    free = set(positions)
-    terms = [[[k for k in range(n) if (i, k) in free and (k, j) in free]
+    free_at = set(positions)
+    terms = [[[k for k in range(n) if (i, k) in free_at and (k, j) in free_at]
               for j in range(n)] for i in range(n)]
 
     def mmul(a, b):
@@ -140,25 +133,20 @@ def _matrix_semiring(S: FiniteSemiring, n: int, positions,
     zero = tuple((S.zero,) * n for _ in range(n))
     one = tuple(tuple(S.one if i == j else S.zero for j in range(n))
                 for i in range(n))
-    carrier, index = _carrier(map(decode, range(count)), zero, one)
-    add = _generated_table(carrier, index, madd, (0,))
-    mul = _generated_table(carrier, index, mmul, (0, index[one]))
-    return make_semiring(add, mul, 0, index[one],
-                         [_matrix_label(S, mat) for mat in carrier])
+    return tabulate(map(decode, range(count)), madd, mmul, zero, one,
+                    lambda mat: _matrix_label(S, mat))
 
 
 def matrix_semiring(S: FiniteSemiring, n: int,
                     max_elements: int = DEFAULT_MAX_ELEMENTS) -> FiniteSemiring:
     """Full n-by-n matrices over S with entrywise sum and row-by-column product."""
-    positions = [(i, j) for i in range(n) for j in range(n)]
-    return _matrix_semiring(S, n, positions, max_elements)
+    return _matrix_semiring(S, n, False, max_elements)
 
 
 def triangular_semiring(S: FiniteSemiring, n: int,
                         max_elements: int = DEFAULT_MAX_ELEMENTS) -> FiniteSemiring:
     """Upper triangular n-by-n matrices over S."""
-    positions = [(i, j) for i in range(n) for j in range(n) if i <= j]
-    return _matrix_semiring(S, n, positions, max_elements)
+    return _matrix_semiring(S, n, True, max_elements)
 
 
 def direct_product(S: FiniteSemiring, T: FiniteSemiring) -> FiniteSemiring:

@@ -334,31 +334,8 @@ def _walk(rows, seeds: Iterable[int], n: int):
 def _generators(table, seeds: Iterable[int], n: int) -> list[int]:
     """A generating set of (carrier, table), found greedily by `_walk`:
     every element is a generator or a reached element times a generator
-    on the right."""
+    on the right.  It is the set whose rows `tabulate` evaluates."""
     return [g for _, r, g in _walk(table, seeds, n) if r is None]
-
-
-def _generated_table(carrier, index, op, seeds) -> list[tuple[int, ...]]:
-    """The table of an associative operation op on `carrier`, evaluating
-    op only on the rows of a generating set.
-
-    The walk of `_walk` reaches each x that is not a generator as x = rg,
-    with r reached before it and g a generator; associativity gives
-    (rg)y = r(gy), so row(x)[y] = row(r)[row(g)[y]] and row(x) is one
-    gather of row(r) along row(g).  The generating set is the one
-    `_generators` would find in the finished table.  For matrices over a
-    semiring, sum and product are associative, so this is the table
-    `tabulate` would build.
-    """
-    rows: list = [None] * len(carrier)
-    gathers: dict[int, itemgetter] = {}  # generator -> gather along its row
-    for x, r, g in _walk(rows, seeds, len(carrier)):
-        if r is None:
-            rows[x] = tuple(index[op(carrier[x], y)] for y in carrier)
-            gathers[g] = itemgetter(*rows[x])
-        else:
-            rows[x] = gathers[g](rows[r])
-    return rows
 
 
 def _rows(table, n: int):
@@ -582,13 +559,6 @@ def reindex(S: FiniteSemiring, perm: Iterable[int]) -> FiniteSemiring:
                           zero=perm[S.zero], one=perm[S.one], labels=labels)
 
 
-def _carrier(elements, zero, one) -> tuple[list, dict]:
-    """The carrier order of `tabulate`, and each element's index in it."""
-    carrier = [zero] + ([one] if one != zero else [])
-    carrier += [x for x in elements if x != zero and x != one]
-    return carrier, {x: i for i, x in enumerate(carrier)}
-
-
 def tabulate(elements, plus, times, zero, one, label) -> FiniteSemiring:
     """Build the semiring on `elements` under the operations plus, times.
 
@@ -596,13 +566,41 @@ def tabulate(elements, plus, times, zero, one, label) -> FiniteSemiring:
     operations and holding zero and one.  The carrier is ordered zero,
     then one unless it equals zero, then the other elements in the order
     given, so zero gets index 0 and one index 1 (0 when the semiring is
-    trivial).  `label(x)` names element x.  The tables go through
-    `make_semiring`, which validates them and checks the labels.
+    trivial).  `label(x)` names element x.
+
+    Precondition: both operations are associative.  Each table is built
+    from the rows of the generating set that `_walk` finds, seeded with
+    zero for + and with zero, one for *: the operation is evaluated only on
+    a generator's row, and every other x is reached as x = rg, with r
+    reached before it and g a generator, so associativity, (rg)y = r(gy),
+    makes row(x) one gather of row(r) along row(g).  The callers meet it:
+    zmod and the Boolean semiring use integer sums, products, max and min;
+    polynomial residues form a quotient ring; products, Peirce factors eS
+    and matrices compute with the operations of semirings that were
+    validated; and a presentation's closure has stabilized with every
+    associativity instance over its class representatives asserted.  The
+    tables go through `make_semiring`, which validates them and checks the
+    labels.
     """
-    carrier, index = _carrier(elements, zero, one)
-    add = [[index[plus(a, b)] for b in carrier] for a in carrier]
-    mul = [[index[times(a, b)] for b in carrier] for a in carrier]
-    return make_semiring(add, mul, 0, index[one], map(label, carrier))
+    carrier = [zero] + ([one] if one != zero else [])
+    carrier += [x for x in elements if x != zero and x != one]
+    index = {x: i for i, x in enumerate(carrier)}
+    n = len(carrier)
+
+    def table(op, seeds) -> list[tuple[int, ...]]:
+        rows: list = [None] * n
+        gathers: dict[int, itemgetter] = {}  # generator -> gather along its row
+        for x, r, g in _walk(rows, seeds, n):
+            if r is None:
+                rows[x] = tuple(index[op(carrier[x], y)] for y in carrier)
+                gathers[g] = itemgetter(*rows[x])
+            else:
+                rows[x] = gathers[g](rows[r])
+        return rows
+
+    one = index[one]
+    return make_semiring(table(plus, (0,)), table(times, (0, one)), 0, one,
+                         map(label, carrier))
 
 
 def nilpotency_index(S: FiniteSemiring, a: int) -> int | None:

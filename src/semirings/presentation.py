@@ -147,6 +147,7 @@ class _CongruenceClosure:
         self.parent: list[int] = []
         self.size: list[int] = []
         self.best: list[Term] = []          # per root: minimal member term
+        self.key: list[tuple] = []          # per root: `_term_key` of best
         self.sig: dict[tuple, int] = {}      # (op, root_l, root_r) -> exemplar
         self.uses: dict[int, list[int]] = {}  # root -> compound ids over it
         self.n_classes = 0
@@ -173,6 +174,7 @@ class _CongruenceClosure:
         self.parent.append(i)
         self.size.append(1)
         self.best.append(t)
+        self.key.append(_term_key(t))
         self.uses[i] = []
         self.n_classes += 1
         self.added_any = True
@@ -203,7 +205,8 @@ class _CongruenceClosure:
             # rv is absorbed into ru
             self.parent[rv] = ru
             self.size[ru] += self.size[rv]
-            self.best[ru] = min(self.best[ru], self.best[rv], key=_term_key)
+            if self.key[rv] < self.key[ru]:  # on a tie ru keeps its term
+                self.best[ru], self.key[ru] = self.best[rv], self.key[rv]
             self.n_classes -= 1
             self.merged_any = True
             moved = self.uses.pop(rv, [])
@@ -225,9 +228,7 @@ class _CongruenceClosure:
 
     def representatives(self) -> list[Term]:
         roots = {self.find(i) for i in range(len(self.terms))}
-        reps = [self.best[r] for r in roots]
-        reps.sort(key=_term_key)
-        return reps
+        return [self.best[r] for r in sorted(roots, key=self.key.__getitem__)]
 
 
 def _instantiate_axioms(cc: _CongruenceClosure, reps: list[Term],
@@ -257,7 +258,8 @@ def _instantiate_axioms(cc: _CongruenceClosure, reps: list[Term],
 
 def _build_table(cc: _CongruenceClosure) -> FiniteSemiring:
     """The table of the stabilized closure, one element per class, other
-    classes in the order of their least terms."""
+    classes in the order of their least terms.  Every associativity
+    instance over the representatives holds, as `tabulate` requires."""
     def op(symbol: str):
         return lambda ra, rb: cc.root_of((symbol, cc.best[ra], cc.best[rb]))
 

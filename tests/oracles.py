@@ -22,7 +22,6 @@ from semirings import (
     validate,
     zmod,
 )
-from semirings.core import tabulate
 from semirings.ops import (
     CONCL_BOOLEAN,
     CONCL_COMMUTATIVE,
@@ -114,11 +113,22 @@ def axiom_sweep(S: FiniteSemiring) -> list[tuple]:
     return axiom_violations(S.add, S.mul, S.zero, S.one)
 
 
+def tabulate_brute(elements, plus, times, zero, one, label) -> FiniteSemiring:
+    """The semiring `tabulate` builds, with plus and times evaluated on
+    every cell instead of on the rows of a generating set."""
+    carrier = [zero] + ([one] if one != zero else [])
+    carrier += [x for x in elements if x != zero and x != one]
+    index = {x: i for i, x in enumerate(carrier)}
+    add = [[index[plus(a, b)] for b in carrier] for a in carrier]
+    mul = [[index[times(a, b)] for b in carrier] for a in carrier]
+    return make_semiring(add, mul, 0, index[one], map(label, carrier))
+
+
 def matrix_semiring_brute(S: FiniteSemiring, n: int,
                           triangular: bool) -> FiniteSemiring:
     """The n-by-n (upper triangular if asked) matrices over S, every cell
-    of both tables computed from the definitions through `tabulate`: the
-    entrywise sum, and the row-by-column product over all n terms."""
+    of both tables computed from the definitions through `tabulate_brute`:
+    the entrywise sum, and the row-by-column product over all n terms."""
     positions = [(i, j) for i in range(n) for j in range(n)
                  if i <= j or not triangular]
 
@@ -140,8 +150,8 @@ def matrix_semiring_brute(S: FiniteSemiring, n: int,
     zero = tuple((S.zero,) * n for _ in range(n))
     one = tuple(tuple(S.one if i == j else S.zero for j in range(n))
                 for i in range(n))
-    return tabulate(map(decode, range(S.order ** len(positions))), madd, mmul,
-                    zero, one, lambda mat: "[" + ";".join(
+    return tabulate_brute(map(decode, range(S.order ** len(positions))), madd,
+                          mmul, zero, one, lambda mat: "[" + ";".join(
                         " ".join(S.labels[v] for v in row) for row in mat) + "]")
 
 

@@ -352,9 +352,14 @@ def test_iso_command_on_files_backtracks(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["result"]["isomorphic"] is True
 
 
-def test_validate_command_on_preset():
+def test_validate_command_on_preset(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("the tables were validated twice")
+
+    # building the preset validates it; the command does not sweep again
+    monkeypatch.setattr("semirings.cli.validate", no_sweep)
     code, report = run(["validate", "--preset", "m2z2"])
-    assert code == 0 and report["result"]["valid"] is True
+    assert code == 0 and report["result"] == {"valid": True, "violations": []}
 
 
 def test_validate_command_on_broken_file(tmp_path):
@@ -441,6 +446,30 @@ def test_wrong_arity_is_an_error():
     assert code == 1
     code, report = run(["classify", "--preset", "bool", "--preset", "bool"])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--max-order", "1", "--preset", "zmod:4"],
+    ["census", "--preset", "zmod:abc"],
+    ["census", "--file", "missing.sr", "--json"],
+], ids=["preset", "bad-preset", "file"])
+def test_census_takes_no_inputs(argv, monkeypatch):
+    monkeypatch.setattr("semirings.cli.from_preset", None)  # never called
+    code, report = run(argv)
+    assert code == 1 and report["result"] == {"error": "usage error"}
+
+
+@pytest.mark.parametrize("preset,entries", [
+    ("matrix:zmod:1,1000", 10 ** 6),
+    ("matrix:bool,100000", 10 ** 10),
+    ("triangular:zmod:1,91", 91 * 92 // 2),
+])
+def test_oversized_matrix_dimension_is_refused_up_front(preset, entries):
+    code, report = run(["classify", "--preset", preset])
+    assert code == 1
+    assert report["result"] == {
+        "error": f"{entries} matrix entries exceeds the size cap 4096",
+        "kind": "DomainError"}
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from semirings import (
@@ -10,6 +12,7 @@ from semirings import (
     is_commutative,
     isomorphic,
     matrix_semiring,
+    peirce_decompose,
     poly_quotient,
     triangular_semiring,
     validate,
@@ -17,7 +20,12 @@ from semirings import (
 )
 from semirings.symbolic import NatModel, TripleModel
 
-from oracles import axiom_sweep, fixture_semirings, matrix_semiring_brute
+from oracles import (
+    axiom_sweep,
+    fixture_semirings,
+    matrix_semiring_brute,
+    tabulate_brute,
+)
 
 
 @pytest.mark.parametrize("name,S", fixture_semirings())
@@ -225,6 +233,30 @@ def test_matrix_tables_match_the_cell_by_cell_build(name):
     assert (S.add, S.mul, S.zero, S.one) == (want.add, want.mul, want.zero,
                                              want.one)
     assert S.labels == want.labels
+
+
+# the presets built through `tabulate`; "peirce:P" is the Peirce factors of P
+TABULATED = ["bool", *(f"zmod:{n}" for n in range(1, 13)), "z2x-sq",
+             "z3x-sqm1", "product:bool,zmod:4", "matrix:bool,2",
+             "triangular:zmod:3,2", "bxy-presentation", "peirce:z3x-sqm1",
+             "peirce:zmod:6"]
+
+
+def _tabulated(name: str) -> list[tuple]:
+    if name.startswith("peirce:"):
+        built = peirce_decompose(from_preset(name.split(":", 1)[1])).factors
+    else:
+        built = [from_preset(name)]
+    return [(S.add, S.mul, S.zero, S.one, S.labels) for S in built]
+
+
+@pytest.mark.parametrize("name", TABULATED)
+def test_tabulate_matches_the_cell_by_cell_build(name, monkeypatch):
+    got = _tabulated(name)
+    for module in ("constructors", "ops", "presentation"):
+        monkeypatch.setattr(importlib.import_module(f"semirings.{module}"),
+                            "tabulate", tabulate_brute)
+    assert got == _tabulated(name)
 
 
 def test_matrix_arithmetic_runs_only_on_generator_rows(monkeypatch):
