@@ -100,11 +100,11 @@ def _matrix_semiring(S: FiniteSemiring, n: int, triangular: bool,
     """
     if n < 1:
         raise DomainError("matrix dimension must be at least 1")
-    free = n * (n + 1) // 2 if triangular else n * n
-    if free > max_elements:
-        raise DomainError(f"{free} matrix entries exceeds the size cap "
+    entries = n * (n + 1) // 2 if triangular else n * n
+    if entries > max_elements:
+        raise DomainError(f"{entries} matrix entries exceeds the size cap "
                           f"{max_elements}")
-    count = S.order ** free
+    count = S.order ** entries
     _check_size(count, max_elements)
     positions = [(i, j) for i in range(n) for j in range(n)
                  if i <= j or not triangular]
@@ -121,8 +121,8 @@ def _matrix_semiring(S: FiniteSemiring, n: int, triangular: bool,
 
     # the k with (i, k) and (k, j) both free; every other term of entry
     # (i, j) of a product has the factor S.zero, which annihilates
-    free_at = set(positions)
-    terms = [[[k for k in range(n) if (i, k) in free_at and (k, j) in free_at]
+    free = set(positions)
+    terms = [[[k for k in range(n) if (i, k) in free and (k, j) in free]
               for j in range(n)] for i in range(n)]
 
     def mmul(a, b):
