@@ -43,12 +43,6 @@ class _BoundExceeded(Exception):
     pass
 
 
-def _term_size(t: Term) -> int:
-    if t[0] in ("0", "1", "g"):
-        return 1
-    return 1 + _term_size(t[1]) + _term_size(t[2])
-
-
 def render_term(t: Term) -> str:
     """Compact infix form; products parenthesize sum operands."""
     if t[0] == "0":
@@ -63,10 +57,6 @@ def render_term(t: Term) -> str:
         s = render_term(u)
         return f"({s})" if u[0] == "+" else s
     return f"{wrap(t[1])}*{wrap(t[2])}"
-
-
-def _term_key(t: Term) -> tuple[int, str]:
-    return (_term_size(t), render_term(t))
 
 
 def parse_term(text: str, generators: tuple[str, ...]) -> Term:
@@ -146,8 +136,9 @@ class _CongruenceClosure:
         self.ids: dict[Term, int] = {}
         self.parent: list[int] = []
         self.size: list[int] = []
+        self.term_keys: list[tuple] = []    # per term: (size, rendering)
         self.best: list[Term] = []          # per root: minimal member term
-        self.key: list[tuple] = []          # per root: `_term_key` of best
+        self.key: list[tuple] = []          # per root: the key of best
         self.sig: dict[tuple, int] = {}      # (op, root_l, root_r) -> exemplar
         self.uses: dict[int, list[int]] = {}  # root -> compound ids over it
         self.n_classes = 0
@@ -168,13 +159,22 @@ class _CongruenceClosure:
         if t[0] in ("+", "*"):
             left = self.add(t[1])
             right = self.add(t[2])
+            (lsize, ltext), (rsize, rtext) = (self.term_keys[left],
+                                              self.term_keys[right])
+            if t[0] == "*":  # as render_term: products wrap sum operands
+                ltext = f"({ltext})" if t[1][0] == "+" else ltext
+                rtext = f"({rtext})" if t[2][0] == "+" else rtext
+            key = (1 + lsize + rsize, f"{ltext}{t[0]}{rtext}")
+        else:
+            key = (1, render_term(t))
         i = len(self.terms)
         self.terms.append(t)
         self.ids[t] = i
         self.parent.append(i)
         self.size.append(1)
+        self.term_keys.append(key)
         self.best.append(t)
-        self.key.append(_term_key(t))
+        self.key.append(key)
         self.uses[i] = []
         self.n_classes += 1
         self.added_any = True
@@ -185,10 +185,10 @@ class _CongruenceClosure:
             self.uses[rl].append(i)
             if rr != rl:
                 self.uses[rr].append(i)
-            key = (t[0], rl, rr)
-            exemplar = self.sig.get(key)
+            sig = (t[0], rl, rr)
+            exemplar = self.sig.get(sig)
             if exemplar is None:
-                self.sig[key] = i
+                self.sig[sig] = i
             else:
                 self.union(i, exemplar)
         return i
@@ -265,7 +265,7 @@ def _build_table(cc: _CongruenceClosure) -> FiniteSemiring:
 
     return tabulate([cc.root_of(t) for t in cc.representatives()],
                     op("+"), op("*"), cc.root_of(ZERO), cc.root_of(ONE),
-                    lambda r: render_term(cc.best[r]))
+                    lambda r: cc.key[r][1])
 
 
 def _collapsed_generators(cc: _CongruenceClosure,
@@ -275,7 +275,7 @@ def _collapsed_generators(cc: _CongruenceClosure,
     for name in generators:
         g = ("g", name)
         if g in cc.ids and cc.best[cc.root_of(g)] != g:
-            collapsed.append((name, render_term(cc.best[cc.root_of(g)])))
+            collapsed.append((name, cc.key[cc.root_of(g)][1]))
     return tuple(collapsed)
 
 

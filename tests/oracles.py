@@ -484,6 +484,14 @@ def canonical_search_brute(S: FiniteSemiring) -> tuple[bytes, list[int]]:
                                   [blocks[v] for v in sorted(blocks)])
 
 
+def automorphisms_brute(tables, n: int) -> list[tuple[int, ...]]:
+    """Every permutation p of {0..n-1} with p[t[a][b]] == t[p[a]][p[b]]
+    for each table t and all a, b, found by trying all n! of them."""
+    return [p for p in itertools.permutations(range(n))
+            if all(p[t[a][b]] == t[p[a]][p[b]]
+                   for t in tables for a in range(n) for b in range(n))]
+
+
 def commutative_monoids_brute(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """Commutative monoid tables on {0..n-1} with identity 0, one per
     isomorphism class fixing 0: every symmetric table with identity 0 is

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from semirings import (
     is_boolean,
     is_commutative,
     isomorphic,
+    make_semiring,
     poly_quotient,
     reindex,
     scan,
@@ -27,9 +29,12 @@ from semirings.census import (
     _canonical_search,
     _complete_mul_tables,
     _completions,
+    _catalog,
     _least_relabeling,
+    _relabelings,
     enumerate_commutative_monoids,
 )
+from semirings.core import InternalCheckError
 from semirings.ops import (
     GEN_IDEMPOTENTS,
     GEN_NILIDEMPOTENTS,
@@ -46,6 +51,7 @@ from semirings.ops import (
 )
 
 from oracles import (
+    automorphisms_brute,
     brute_force_semiring_keys,
     canonical_search_brute,
     check_theorem_brute,
@@ -143,8 +149,74 @@ def test_completions_check_the_preset_cells():
 
 
 def test_monoid_counts_match_oeis_a058131():
-    counts = [len(enumerate_commutative_monoids(n)) for n in range(1, 6)]
-    assert counts == [1, 2, 5, 19, 78]
+    counts = [len(enumerate_commutative_monoids(n)) for n in range(1, 7)]
+    assert counts == [1, 2, 5, 19, 78, 421]
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_mul_stage_leaders_are_the_first_table_of_each_class(n):
+    # With the stabiliser of `one` in Aut(add) as its group, the search
+    # yields exactly the first table of each isomorphism class that the
+    # plain search meets, for each `one` least in its Aut(add) orbit.
+    for add in commutative_monoids_brute(n):
+        aut = automorphisms_brute((add,), n)  # the identity first
+        for one in range(1, n):
+            if any(p[one] < one for p in aut):
+                continue
+            stabiliser = [p for p in aut[1:] if p[one] == one]
+            first = {}
+            for mul in mul_completions_brute(add, n, one):
+                key, _ = canonical_search_brute(make_semiring(add, mul, 0, one))
+                first.setdefault(key, mul)
+            assert list(_complete_mul_tables(add, n, one, stabiliser)) == \
+                list(first.values())
+
+
+def _labelled_semiring_count(n):
+    """Semirings on {0..n-1} with zero 0, counted by the completion search
+    with no group over every labelled monoid and every choice of one."""
+    table = [[-1] * n for _ in range(n)]
+    for a in range(n):
+        table[0][a] = table[a][0] = a
+    cells = [((i, j), (j, i)) for i in range(1, n) for j in range(i, n)]
+    return sum(1 for add in _completions(table, cells, None, n)
+               for one in range(1, n)
+               for _ in _complete_mul_tables(add, n, one))
+
+
+@pytest.mark.parametrize("n, labelled", ((2, 2), (3, 12), (4, 231)))
+def test_catalog_passes_the_orbit_count(n, labelled):
+    # Each class S has (n-1)!/|Aut(S)| copies with zero at 0, so a class
+    # merged with another or split in two would break the sum.
+    copies = sum(math.factorial(n - 1)
+                 // len(automorphisms_brute((S.add, S.mul), n))
+                 for S in enumerate_semirings(n))
+    assert copies == _labelled_semiring_count(n) == labelled
+
+
+def test_order_five_catalog_is_pinned():
+    # Recorded when every labelled table was built and deduplicated.
+    catalog = _catalog(5, 5)
+    assert len(catalog) == 295
+    assert hashlib.sha256(b"".join(key for key, _ in catalog)).hexdigest() == \
+        "0da552b5cf2e51a70aa12faea6db2d51c9c95de1749b8d110015298ab714936d"
+
+
+def test_relabelings_fix_zero_and_skip_the_identity():
+    assert _relabelings(1) == _relabelings(2) == []
+    assert _relabelings(3) == [(0, 2, 1)]
+    assert len(_relabelings(5)) == 23
+    assert all(p[0] == 0 and sorted(p) == list(range(5))
+               for p in _relabelings(5))
+
+
+def test_catalog_refuses_two_leaders_with_one_key(monkeypatch):
+    import semirings.census as census
+
+    monkeypatch.setattr(census, "_canonical_search",
+                        lambda S: (b"same", list(S.elements)))
+    with pytest.raises(InternalCheckError, match="share a canonical key"):
+        _catalog(3, 3)
 
 
 # ----------------------------------------------------------- canonical keys
@@ -399,6 +471,14 @@ def test_scan_lists_every_violation(monkeypatch):
     code, cli_report = run(["census", "--max-order", "3"])
     assert code == 2 and cli_report["verdict"] == "violation"
     assert len(cli_report["result"]["violations"]) == len(expected)
+
+
+@pytest.mark.parametrize("orders, message", (
+    ([2, 2], "distinct"), ((3, 2, 3), "distinct"),
+    ([2.0], "integer"), ([True], "integer"), (["2"], "integer")))
+def test_scan_rejects_bad_orders(orders, message):
+    with pytest.raises(DomainError, match=message):
+        scan(orders)
 
 
 def test_scan_rejects_unknown_theorem():
