@@ -14,9 +14,9 @@ thrown away as a duplicate.  The output is the same as keeping the first
 table of each class from a search with no group: values are tried in
 ascending order, so that first table is the least of its class in fill
 order, which is the leader.  On 2 vCPUs under CPython 3.11 the monoids of
-order 6 take about 0.4 s and the whole order-6 catalog about 3 s (16 s
-and 21 s when every labelled table was built and deduplicated); order 5
-takes 0.03 s and 0.16 s.
+order 6 take about 0.5 s and the whole order-6 catalog 3-4 s (16 s and
+21 s when every labelled table was built and deduplicated); order 5
+takes 0.04 s and 0.2 s.
 
 Each class is named by a canonical key, the lexicographically least
 relabeling fixing zero at 0 and one at 1 within invariant-vector blocks,

@@ -6,6 +6,7 @@ import pytest
 
 from semirings import (
     DomainError,
+    InternalCheckError,
     boolean_semiring,
     canonical_form,
     canonical_relabel,
@@ -27,14 +28,12 @@ from semirings.cli import run
 from semirings.census import (
     SCAN_FLAGS,
     _canonical_search,
+    _catalog,
     _complete_mul_tables,
     _completions,
-    _catalog,
     _least_relabeling,
-    _relabelings,
     enumerate_commutative_monoids,
 )
-from semirings.core import InternalCheckError
 from semirings.ops import (
     GEN_IDEMPOTENTS,
     GEN_NILIDEMPOTENTS,
@@ -200,14 +199,6 @@ def test_order_five_catalog_is_pinned():
     assert len(catalog) == 295
     assert hashlib.sha256(b"".join(key for key, _ in catalog)).hexdigest() == \
         "0da552b5cf2e51a70aa12faea6db2d51c9c95de1749b8d110015298ab714936d"
-
-
-def test_relabelings_fix_zero_and_skip_the_identity():
-    assert _relabelings(1) == _relabelings(2) == []
-    assert _relabelings(3) == [(0, 2, 1)]
-    assert len(_relabelings(5)) == 23
-    assert all(p[0] == 0 and sorted(p) == list(range(5))
-               for p in _relabelings(5))
 
 
 def test_catalog_refuses_two_leaders_with_one_key(monkeypatch):
