@@ -3,20 +3,27 @@
 Enumeration is staged: first the commutative addition monoids with identity
 at index 0, up to relabeling that fixes 0; then, per additive table and per
 choice of the multiplicative identity, the multiplication tables.  Both
-stages fill a partial table with one backtracking search, `_completions`,
-that checks only the law instances reading the cell just set, and keeps a
-completion only if it is the lex-leader of its orbit under the stage's
-relabelings (orderly generation, after Read's "Every one a winner"): all
-relabelings fixing 0 for the monoids, and for the multiplications the
-automorphisms of the addition that fix one, with one tried only at the
-least element of its orbit.  So each class is built once, and no table is
+stages fill a partial table cell by cell, values in ascending order, and
+after each cell check only the law instances that read it, found through
+watch lists (`_cell_holds`).  In the multiplication stage left
+distributivity is not checked but built in: each row is filled only along
+the endomorphisms of the addition that send one to the row's element.  A
+completion is kept only if it is the lex-leader of its orbit under the
+stage's relabelings (orderly generation, after Read's "Every one a
+winner"): all relabelings fixing 0 for the monoids, and for the
+multiplications the automorphisms of the addition that fix one, with one
+tried only at the least element of its orbit.  Each node hands down the
+relabelings whose comparison is still open, with the position where it
+is open (`_leader_step`).  So each class is built once, and no table is
 thrown away as a duplicate.  The output is the same as keeping the first
 table of each class from a search with no group: values are tried in
 ascending order, so that first table is the least of its class in fill
-order, which is the leader.  On 2 vCPUs under CPython 3.11 the monoids of
-order 6 take about 0.5 s and the whole order-6 catalog 3-4 s (16 s and
-21 s when every labelled table was built and deduplicated); order 5
-takes 0.04 s and 0.2 s.
+order, which is the leader.  What depends only on the addition (the sum
+index, the endomorphisms and the automorphisms among them) is built once
+per monoid.  On 2 vCPUs under CPython 3.11 the monoids of order 6 take
+about 0.1 s and the whole order-6 catalog about 1.4 s; at order 7 they
+take about 2 s and 25 s (0.5 s, 3.2 s, 8 s and 64 s with a full rescan
+of the laws per cell and a leader test from the first position).
 
 Each class is named by a canonical key, the lexicographically least
 relabeling fixing zero at 0 and one at 1 within invariant-vector blocks,
@@ -24,7 +31,9 @@ found by one branch and bound, `_least_relabeling`, that builds the key
 cell by cell and prunes every partial relabeling whose prefix is already
 larger, so it reaches the same key, and on ties the same permutation, as
 trying every relabeling would.  The key sorts the output; two leaders with
-one key would be a defect, and raise InternalCheckError.
+one key would be a defect, and raise InternalCheckError.  The class report
+and invariant vectors that the key needed travel with the representative,
+relabeled by `core.reindex`, so a scan does not classify it again.
 
 A scan judges each theorem with `ops.check_theorem` and reads the entry
 flags off the same clause checks, which `ops.check_clause` evaluates once
@@ -34,7 +43,7 @@ per semiring, so every clause of `ops.CLAUSES` runs once per entry.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     DEFAULT_MAX_ORDER,
@@ -42,6 +51,7 @@ from .core import (
     DomainError,
     FiniteSemiring,
     InternalCheckError,
+    _walk,
     make_semiring,
     reindex,
 )
@@ -236,100 +246,188 @@ def canonical_relabel(S: FiniteSemiring) -> FiniteSemiring:
     return reindex(S, perm)
 
 
-def _laws_hold(t, add, n: int, cells) -> bool:
-    """Whether the decided instances (a, b, c) of associativity of the
-    partial table `t` and, unless `add` is None, of both distributive laws
-    over `add` hold, for a the row or c the column of a position in
-    `cells`.  Those are all the instances that read `cells`: associativity
-    reads (a,b), (b,c), (ab,c) and (a,bc), left distributivity row a, and
-    right distributivity column c."""
-    rows = {i for i, _ in cells}
-    cols = {j for _, j in cells}
+def _sum_index(add, n: int) -> list[list[tuple[int, int, int]]]:
+    """For each element x of the commutative monoid `add`, the triples
+    (a, b, a + b) with a <= b and x among a, b and a + b: the instances of
+    f(a + b) = f(a) + f(b) that read f at x."""
+    index: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for a in range(n):
-        ta = t[a]
-        for c in range(n) if a in rows else cols:
-            ac = ta[c]
-            for b in range(n):
-                ab, bc = ta[b], t[b][c]
-                if ab >= 0 and bc >= 0:
-                    x, y = t[ab][c], ta[bc]
-                    if x >= 0 and y >= 0 and x != y:
-                        return False
-                if add is None or ac < 0:
-                    continue
-                x = ta[add[b][c]]  # a(b+c) == ab + ac
-                if ab >= 0 and x >= 0 and x != add[ab][ac]:
-                    return False
-                x = t[add[a][b]][c]  # (a+b)c == ac + bc
-                if bc >= 0 and x >= 0 and x != add[ac][bc]:
-                    return False
+        for b in range(a, n):
+            s = add[a][b]
+            for x in {a, b, s}:
+                index[x].append((a, b, s))
+    return index
+
+
+def _cell_holds(t, i: int, j: int, holders, add=None, sums=None) -> bool:
+    """Whether every decided instance of associativity of the partial table
+    `t` (-1 marks a free cell) that reads the set cell (i, j) holds and,
+    unless `add` is None, every decided instance of right distributivity,
+    (a+b)c = ac + bc, over the commutative `add`.
+
+    (ab)c = a(bc) reads (a, b), (b, c), (ab, c) and (a, bc), so the cell is
+    read at (i, j, c) and (a, i, j) for every a and c, at (a, b, j) for each
+    set cell (a, b) that holds i, and at (i, b, c) for each set cell (b, c)
+    that holds j; `holders[v]` lists the set cells that hold v.  Right
+    distributivity reads column c at rows a, b and a + b, so the cell is
+    read at c = j and the triples `sums[i]` of `_sum_index(add, n)`.  An
+    instance is decided once its last cell is set, so checking each cell
+    as it is set keeps every decided instance true."""
+    ti, tj = t[i], t[j]
+    v = ti[j]
+    tv = t[v]
+    for c, jc in enumerate(tj):  # (ij)c = i(jc)
+        if jc >= 0:
+            x, y = tv[c], ti[jc]
+            if x != y and x >= 0 and y >= 0:
+                return False
+    for ta in t:  # (ai)j = a(ij)
+        ai = ta[i]
+        if ai >= 0:
+            x, y = t[ai][j], ta[v]
+            if x != y and x >= 0 and y >= 0:
+                return False
+    for a, b in holders[i]:  # (ab)j = a(bj) with ab = i
+        bj = t[b][j]
+        if bj >= 0:
+            x = t[a][bj]
+            if x != v and x >= 0:
+                return False
+    for b, c in holders[j]:  # (ib)c = i(bc) with bc = j
+        ib = ti[b]
+        if ib >= 0:
+            x = t[ib][c]
+            if x != v and x >= 0:
+                return False
+    if add is not None:
+        for a, b, s in sums[i]:  # (a+b)j = aj + bj
+            x, y, z = t[a][j], t[b][j], t[s][j]
+            if x >= 0 and y >= 0 and z >= 0 and z != add[x][y]:
+                return False
     return True
 
 
-def _completions(t, cells, add, n: int, group=()):
-    """Each completion of the partial table `t` (-1 marks a free cell)
-    that passes `_laws_hold` and is the lex-leader of its orbit under
-    `group`, as a tuple of tuples, giving the positions of each tuple in
-    `cells` one value, tried in ascending order.  Setting a tuple decides
-    only instances that read it, so checking those keeps every decided
-    instance true.  The base case is a full check of the preset cells, for
-    instances such as a(1+1) = a+a with 1+1 in {0, 1}, which read no free
-    cell.
+def _leader_step(t, live, k: int):
+    """The relabelings of `live` whose comparison stays open once the fill
+    positions up to k of `t` are set, or None if one of them shows that
+    the table's orbit holds a smaller completion.
 
-    `group` lists relabelings p (old to new, a sequence) that keep the
-    preset cells and the laws, so each maps a completion c to the
-    completion p.c with (p.c)[p[i]][p[j]] = p[c[i][j]].  A completion is a
-    leader when no p.c is smaller in fill order, the order of the first
-    position of each tuple in `cells`.  After each value is set, the
-    search walks those positions, comparing p's image cell with the
-    table's, and stops at the first image cell that reads a free cell or
-    is larger (a free table cell reads -1, below every image); it prunes
-    at the first image cell that is smaller.  Every cell that walk read
-    is set and stays set, so p.c is then smaller for every completion c
-    of the partial table, and the subtree holds no leader; at a full
-    table the walk decides p.c < c exactly.
+    Each entry is (p, walk, pos): p a relabeling (old to new), walk[q] =
+    (a, b, i, j) with (i, j) the cell at fill position q and (a, b) the
+    cell that p carries onto it, and pos the first position where p's
+    comparison is open.  Every position before pos is set and reads the
+    same under p, and positions are set in order, so the walk resumes at
+    pos: an image cell that is free leaves the comparison open there; an
+    image that reads larger than the set table cell makes p.c larger for
+    every completion c, and p is dropped; one that reads smaller makes p.c
+    smaller for every completion, so the subtree holds no leader.  A
+    relabeling that reads the same at every position fixes the table and
+    is dropped too."""
+    out = []
+    for entry in live:
+        p, walk, pos = entry
+        if pos > k:
+            out.append(entry)
+            continue
+        while pos <= k:
+            a, b, i, j = walk[pos]
+            x = t[a][b]
+            if x < 0:
+                out.append((p, walk, pos))
+                break
+            x = p[x] - t[i][j]
+            if x:
+                if x < 0:
+                    return None
+                break
+            pos += 1
+        else:
+            if pos < len(walk):
+                out.append((p, walk, pos))
+    return out
 
-    So the search yields the leaders, and only them.  Values are tried in
-    ascending order, so completions come in fill order and the leader of
-    an orbit is its first completion.  Where `group` holds every
-    relabeling that keeps the presets and the laws, the orbits are the
-    isomorphism classes, and the leaders are the tables that a search
-    with no group would keep if it kept the first table of each class."""
-    spots = [tup[0] for tup in cells]
-    images = []
+
+def _walks(group, spots, n: int) -> list:
+    """The `_leader_step` entries of the relabelings in `group` for the
+    fill positions `spots`, each open at position 0."""
+    live = []
     for p in group:
         inv = [0] * n
         for old, new in enumerate(p):
             inv[new] = old
-        images.append((p, [(inv[i], inv[j]) for i, j in spots]))
+        live.append((p, [(inv[i], inv[j], i, j) for i, j in spots], 0))
+    return live
 
-    def leader() -> bool:
-        for p, reads in images:
-            for (a, b), (i, j) in zip(reads, spots):
-                x = t[a][b]
-                if x < 0:
-                    break
-                x = p[x] - t[i][j]
-                if x:
-                    if x < 0:
-                        return False
-                    break
-        return True
 
-    def fill(k: int):
+def _completions(t, cells, n: int, group=()):
+    """Each associative completion of the symmetric partial table `t` (-1
+    marks a free cell) that is the lex-leader of its orbit under `group`,
+    as a tuple of tuples.  Each tuple in `cells` is a position (i, j) and,
+    off the diagonal, its mirror (j, i); both get one value, tried in
+    ascending order, so the table stays symmetric.
+
+    The search sets the preset cells of `t` one at a time, then the tuples
+    of `cells` in order, and checks with `_cell_holds` only the instances
+    that read the cell just set; so every decided instance holds at every
+    node, including those that read only preset cells.  On a symmetric
+    table the mirror (c, b, a) of an instance (a, b, c) reads the mirrors
+    of its cells and holds exactly when it does, so a tuple's first
+    position is the only one checked.
+
+    `group` lists relabelings p (old to new, a sequence) that keep the
+    preset cells and the law, so each maps a completion c to the
+    completion p.c with (p.c)[p[i]][p[j]] = p[c[i][j]].  A completion is a
+    leader when no p.c is smaller in fill order, the order of the first
+    position of each tuple in `cells`.  Each node passes on, by
+    `_leader_step`, the relabelings whose comparison with the partial
+    table is still open, and prunes when one reads smaller: every cell
+    read is set and stays set, so p.c is then smaller for every completion
+    c of the partial table, and the subtree holds no leader; at a full
+    table the comparison is decided for every relabeling.
+
+    So the search yields the leaders, and only them.  Values are tried in
+    ascending order, so completions come in fill order and the leader of
+    an orbit is its first completion.  Where `group` holds every
+    relabeling that keeps the presets and the law, the orbits are the
+    isomorphism classes, and the leaders are the tables that a search
+    with no group would keep if it kept the first table of each class."""
+    preset, t = t, [[-1] * n for _ in range(n)]
+    holders: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, row in enumerate(preset):
+        for j, v in enumerate(row):
+            if v >= 0:
+                t[i][j] = v
+                holders[v].append((i, j))
+                if not _cell_holds(t, i, j, holders):
+                    return
+
+    def fill(k: int, live):
         if k == len(cells):
             yield tuple(tuple(row) for row in t)
             return
+        tup = cells[k]
         for v in range(n):
-            for i, j in cells[k]:
+            held = holders[v]
+            for i, j in tup:
                 t[i][j] = v
-            if _laws_hold(t, add, n, cells[k]) and leader():
-                yield from fill(k + 1)
-        for i, j in cells[k]:
+                held.append((i, j))
+            if _cell_holds(t, *tup[0], holders):
+                nxt = _leader_step(t, live, k)
+                if nxt is not None:
+                    yield from fill(k + 1, nxt)
+            del held[len(held) - len(tup):]
+        for i, j in tup:
             t[i][j] = -1
 
-    if _laws_hold(t, add, n, [(a, a) for a in range(n)]):
-        yield from fill(0)
+    yield from fill(0, _walks(group, [tup[0] for tup in cells], n))
+
+
+def _check_order(order) -> None:
+    """Refuse an order that is not a positive int (a bool is not one)."""
+    if not isinstance(order, int) or isinstance(order, bool):
+        raise DomainError(f"order must be an integer, not {order!r}")
+    if order < 1:
+        raise DomainError(f"order must be positive, not {order}")
 
 
 def _relabelings(n: int) -> list[tuple[int, ...]]:
@@ -337,29 +435,138 @@ def _relabelings(n: int) -> list[tuple[int, ...]]:
     return [(0, *p) for p in itertools.permutations(range(1, n))][1:]
 
 
+def _monoid_leaders(n: int):
+    """The commutative monoid tables on {0..n-1} with identity 0 that are
+    the leaders of their classes under every relabeling fixing 0, in fill
+    order."""
+    table = [[-1] * n for _ in range(n)]
+    for a in range(n):
+        table[0][a] = table[a][0] = a
+    cells = [((i, j), (j, i)) if i < j else ((i, i),)
+             for i in range(1, n) for j in range(i, n)]
+    return _completions(table, cells, n, _relabelings(n))
+
+
 def enumerate_commutative_monoids(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """Commutative monoid tables on {0..n-1} with identity 0, one table per
     isomorphism class (isomorphisms fix 0): the leaders under every
     relabeling that fixes 0, sorted by canonical key."""
-    table = [[-1] * n for _ in range(n)]
-    for a in range(n):
-        table[0][a] = table[a][0] = a
-    cells = [((i, j), (j, i)) for i in range(1, n) for j in range(i, n)]
+    _check_order(n)
     blocks = [list(range(1, n))]
-    return sorted(_completions(table, cells, None, n, _relabelings(n)),
+    return sorted(_monoid_leaders(n),
                   key=lambda m: _least_relabeling((m,), n, {0: 0}, blocks)[0])
 
 
-def _complete_mul_tables(add, n: int, one: int, group=()):
+def _endomorphisms(add, n: int, sums) -> list[tuple[int, ...]]:
+    """The endomorphisms f of the commutative monoid `add` on {0..n-1}
+    with identity 0, in ascending order; `sums` is `_sum_index(add, n)`.
+    Each element is reached by `_walk` as a generator or as r + g, r
+    reached before it and g a generator, so f branches only at the
+    generators and f(r + g) = f(r) + f(g) sets the rest; f(a + b) =
+    f(a) + f(b) is checked at each triple of `sums` when the last of its
+    three elements is set."""
+    f = [0] * n
+    steps = []
+    done = {0}
+    for x, r, g in itertools.islice(_walk(add, (0,), n), 1, None):
+        done.add(x)
+        steps.append((x, r, g, [t for t in sums[x] if done.issuperset(t)]))
+    found: list[tuple[int, ...]] = []
+
+    def extend(k: int) -> None:
+        if k == len(steps):
+            found.append(tuple(f))
+            return
+        x, r, g, checks = steps[k]
+        for v in range(n) if r is None else (add[f[r]][f[g]],):
+            f[x] = v
+            for a, b, s in checks:
+                if f[s] != add[f[a]][f[b]]:
+                    break
+            else:
+                extend(k + 1)
+
+    extend(0)
+    return sorted(found)
+
+
+def _trie(rows) -> list:
+    """The sorted, equally long, nonempty sequences `rows` as a trie: a
+    list of (value, subtrie) pairs in ascending order of value, the
+    subtrie None after the last position."""
+    root: list = []
+    for row in rows:
+        node = root
+        for v in row[:-1]:
+            if not node or node[-1][0] != v:
+                node.append((v, []))
+            node = node[-1][1]
+        if not node or node[-1][0] != row[-1]:
+            node.append((row[-1], None))
+    return root
+
+
+def _complete_mul_tables(add, n: int, one: int, group=(), ends=None,
+                         sums=None):
     """The multiplication tables with zero 0 and identity `one` that make
-    `add` a semiring, free cells filled in row-major order; with a group
-    of automorphisms of `add` that fix `one`, only the leaders."""
-    mul = [[-1] * n for _ in range(n)]
+    the commutative monoid `add` a semiring, free cells filled in
+    row-major order; with a group of automorphisms of `add` that fix
+    `one`, only the leaders (see `_completions`).  `sums` is
+    `_sum_index(add, n)` and `ends` `_endomorphisms(add, n, sums)`, both
+    built here if not given.
+
+    Left distributivity, a(b+c) = ab + ac, says that row a is an
+    endomorphism of (S, +); it sends 0 to 0 and `one` to a.  So each free
+    cell of row a takes only the values that the endomorphisms agreeing
+    with the row's set cells give it, from a trie of them, and there are
+    no tables if some row has no such endomorphism.  `_cell_holds` checks
+    associativity and right distributivity.  The instances that read only
+    the preset rows and columns of 0 and `one` need no check: those of
+    associativity hold by the identity and zero laws, and (1+1)c = c + c,
+    with 1 + 1 in {0, 1}, is c(1+1) = c + c for the endomorphism row c."""
+    if sums is None:
+        sums = _sum_index(add, n)
+    if ends is None:
+        ends = _endomorphisms(add, n, sums)
+    t = [[-1] * n for _ in range(n)]
     for a in range(n):
-        mul[0][a] = mul[a][0] = 0
-        mul[one][a] = mul[a][one] = a
-    cells = [((i, j),) for i in range(n) for j in range(n) if mul[i][j] < 0]
-    return _completions(mul, cells, add, n, group)
+        t[0][a] = t[a][0] = 0
+        t[one][a] = t[a][one] = a
+    holders: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, row in enumerate(t):
+        for j, v in enumerate(row):
+            if v >= 0:
+                holders[v].append((i, j))
+    free = [x for x in range(1, n) if x != one]
+    cells = [(i, j) for i in free for j in free]
+    rows: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for f in ends:
+        rows[f[one]].append(f)
+    if not all(rows[x] for x in free):
+        return
+    tries: dict[int, list] = {}  # row -> trie of its values, built on demand
+
+    def fill(k: int, live, node):
+        if k == len(cells):
+            yield tuple(tuple(row) for row in t)
+            return
+        i, j = cells[k]
+        if j == free[0]:
+            node = tries.get(i)
+            if node is None:
+                node = tries[i] = _trie([[f[c] for c in free] for f in rows[i]])
+        for v, rest in node:
+            t[i][j] = v
+            held = holders[v]
+            held.append((i, j))
+            if _cell_holds(t, i, j, holders, add, sums):
+                nxt = _leader_step(t, live, k)
+                if nxt is not None:
+                    yield from fill(k + 1, nxt, rest)
+            held.pop()
+        t[i][j] = -1
+
+    yield from fill(0, _walks(group, cells, n), None)
 
 
 def _catalog(order: int, max_order: int) -> list[tuple[bytes, FiniteSemiring]]:
@@ -369,37 +576,38 @@ def _catalog(order: int, max_order: int) -> list[tuple[bytes, FiniteSemiring]]:
     An isomorphism between two semirings with zero 0 takes one addition
     table to the other, so it joins only semirings over the same monoid
     class, and there it is an automorphism p of `add` with one' = p[one].
-    So `one` is tried only at the least element of its orbit under
-    Aut(add), and the stabiliser of `one` is the group of the leader
-    search: each leader is a class of its own."""
+    The automorphisms are the endomorphisms that are bijections.  So
+    `one` is tried only at the least element of its orbit under Aut(add),
+    and the stabiliser of `one` is the group of the leader search: each
+    leader is a class of its own."""
+    _check_order(order)
     if order > max_order:
         raise DomainError(f"order {order} above configured maximum {max_order}")
-    if order < 1:
-        raise DomainError("order must be positive")
     if order == 1:
         S = make_semiring(((0,),), ((0,),), 0, 0, ("0",))
         return [(canonical_form(S), S)]
     found: dict[bytes, FiniteSemiring] = {}
     labels = _GENERIC_LABELS[:order]
-    pairs = [(a, b) for a in range(order) for b in range(order)]
-    relabelings = _relabelings(order)
-    for add in enumerate_commutative_monoids(order):
-        aut = [p for p in relabelings
-               if all(p[add[a][b]] == add[p[a]][p[b]] for a, b in pairs)]
+    identity = tuple(range(order))
+    for add in _monoid_leaders(order):  # the catalog is sorted at the end
+        sums = _sum_index(add, order)
+        ends = _endomorphisms(add, order, sums)
+        aut = [f for f in ends if len(set(f)) == order and f != identity]
         for one in range(1, order):
             if any(p[one] < one for p in aut):
                 continue
             stabiliser = [p for p in aut if p[one] == one]
-            for mul in _complete_mul_tables(add, order, one, stabiliser):
+            for mul in _complete_mul_tables(add, order, one, stabiliser, ends,
+                                            sums):
                 S = make_semiring(add, mul, 0, one, None)
                 key, perm = _canonical_search(S)
                 if key in found:
                     raise InternalCheckError(
                         "two leaders of the census share a canonical key")
                 canon = reindex(S, perm)
-                found[key] = FiniteSemiring(
-                    order=canon.order, add=canon.add, mul=canon.mul,
-                    zero=canon.zero, one=canon.one, labels=labels)
+                found[key] = rep = replace(canon, labels=labels)
+                # the classes of S, relabeled, so no scan classifies again
+                rep.__dict__["_classes"] = canon._classes
     return sorted(found.items())
 
 
@@ -444,8 +652,7 @@ def scan(orders, theorem_ids=THEOREM_IDS, include_trivial: bool = False,
     fail.  Orders must be distinct integers."""
     orders = tuple(orders)
     for order in orders:
-        if not isinstance(order, int) or isinstance(order, bool):
-            raise DomainError(f"order must be an integer, not {order!r}")
+        _check_order(order)
     if len(set(orders)) != len(orders):
         raise DomainError(f"orders must be distinct, not {list(orders)}")
     for theorem in theorem_ids:

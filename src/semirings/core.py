@@ -207,7 +207,10 @@ class FiniteSemiring:
 
     @cached_property
     def _classes(self) -> tuple[ClassReport, list[tuple]]:
-        return _classify(self)
+        # `reindex` leaves the classes of its source and the permutation
+        # here, so a copy that is classified relabels them instead
+        source = self.__dict__.pop("_classes_source", None)
+        return _classify(self) if source is None else _relabel_classes(*source)
 
     @cached_property
     def _clauses(self) -> dict:
@@ -543,20 +546,59 @@ def make_semiring(add, mul, zero: int, one: int,
 
 
 def reindex(S: FiniteSemiring, perm: Iterable[int]) -> FiniteSemiring:
-    """Relabel S along perm (perm[old] = new index); an isomorphic copy."""
+    """Relabel S along perm (perm[old] = new index); an isomorphic copy.
+    A class report already computed for S is relabeled for the copy, when
+    the copy's classes are first asked for, instead of computed again."""
     perm = tuple(perm)
     if sorted(perm) != list(S.elements):
         raise DomainError("perm must be a permutation of the carrier")
     inv = [0] * S.order
     for old, new in enumerate(perm):
         inv[new] = old
-    add = tuple(tuple(perm[S.add[inv[i]][inv[j]]] for j in S.elements)
-                for i in S.elements)
-    mul = tuple(tuple(perm[S.mul[inv[i]][inv[j]]] for j in S.elements)
-                for i in S.elements)
-    labels = tuple(S.labels[inv[i]] for i in S.elements)
-    return FiniteSemiring(order=S.order, add=add, mul=mul,
-                          zero=perm[S.zero], one=perm[S.one], labels=labels)
+    add, mul = (tuple(tuple([perm[row[j]] for j in inv])
+                      for row in [table[i] for i in inv])
+                for table in (S.add, S.mul))
+    T = FiniteSemiring(order=S.order, add=add, mul=mul,
+                       zero=perm[S.zero], one=perm[S.one],
+                       labels=tuple([S.labels[i] for i in inv]))
+    if "_classes" in S.__dict__:
+        T.__dict__["_classes_source"] = (S._classes, perm, inv)
+    return T
+
+
+def _relabel_classes(classes: tuple[ClassReport, list[tuple]], perm,
+                     inv) -> tuple[ClassReport, list[tuple]]:
+    """The class report and invariant vectors of S, as `_classify` gives
+    them for the copy relabeled along perm (perm[old] = new, inv its
+    inverse).  Sets and dict keys move with perm, and the dicts are filled
+    in the new index order, as `_classify` fills them.  The witnesses are
+    unique inverses, so they move with perm too; invariant vectors and
+    nilpotency indices are the same at x and at perm[x]."""
+    report, vectors = classes
+    n = len(perm)
+    bits = [1 << new for new in perm]
+
+    def moved(s: ElementSet) -> ElementSet:
+        mask = s.mask
+        return ElementSet(sum([bit for old, bit in enumerate(bits)
+                               if mask >> old & 1]), n)
+
+    def moved_dict(d: dict[int, int], witness: bool) -> dict[int, int]:
+        return {new: perm[d[old]] if witness else d[old]
+                for new, old in enumerate(inv) if old in d}
+
+    return ClassReport(
+        idempotents=moved(report.idempotents),
+        nilpotents=moved(report.nilpotents),
+        nilidempotents=moved(report.nilidempotents),
+        additively_invertible=moved(report.additively_invertible),
+        additive_inverse_witness=moved_dict(report.additive_inverse_witness,
+                                            True),
+        center=moved(report.center),
+        units=moved(report.units),
+        unit_witness=moved_dict(report.unit_witness, True),
+        nilpotency_index=moved_dict(report.nilpotency_index, False),
+    ), [vectors[old] for old in inv]
 
 
 def tabulate(elements, plus, times, zero, one, label) -> FiniteSemiring:

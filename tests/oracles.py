@@ -574,6 +574,67 @@ def mul_completions_brute(add, n: int, one: int):
     yield from fill(0)
 
 
+def decided_instances_hold(t, add, n: int, cells) -> bool:
+    """Whether the decided instances (a, b, c) of associativity of the
+    partial table `t` (-1 marks a free cell) and, unless `add` is None, of
+    both distributive laws over `add` hold, for a the row or c the column
+    of a position in `cells`: a rescan of O(n^2) instances per row and
+    column.  With every (a, a) in `cells` it checks every decided
+    instance."""
+    rows = {i for i, _ in cells}
+    cols = {j for _, j in cells}
+    for a in range(n):
+        ta = t[a]
+        for c in range(n) if a in rows else cols:
+            ac = ta[c]
+            for b in range(n):
+                ab, bc = ta[b], t[b][c]
+                if ab >= 0 and bc >= 0:
+                    x, y = t[ab][c], ta[bc]
+                    if x >= 0 and y >= 0 and x != y:
+                        return False
+                if add is None or ac < 0:
+                    continue
+                x = ta[add[b][c]]  # a(b+c) == ab + ac
+                if ab >= 0 and x >= 0 and x != add[ab][ac]:
+                    return False
+                x = t[add[a][b]][c]  # (a+b)c == ac + bc
+                if bc >= 0 and x >= 0 and x != add[ac][bc]:
+                    return False
+    return True
+
+
+def endomorphisms_brute(add, n: int) -> list[tuple[int, ...]]:
+    """Every map f of {0..n-1} with f(0) = 0 and f(a+b) = f(a) + f(b) for
+    all a, b, found by trying all n^(n-1) of them, in ascending order."""
+    return [f for f in ((0, *rest) for rest in
+                        itertools.product(range(n), repeat=n - 1))
+            if all(f[add[a][b]] == add[f[a]][f[b]]
+                   for a in range(n) for b in range(n))]
+
+
+def leader_walk_brute(t, spots, group) -> bool:
+    """False if some relabeling p in `group` (old to new) shows, walking
+    the fill positions `spots` from the first, an image cell smaller than
+    the table's before it meets an image cell that reads a free cell (-1)
+    or is larger; else True.  Every relabeling is walked afresh."""
+    n = len(t)
+    for p in group:
+        inv = [0] * n
+        for old, new in enumerate(p):
+            inv[new] = old
+        for i, j in spots:
+            x = t[inv[i]][inv[j]]
+            if x < 0:
+                break
+            x = p[x] - t[i][j]
+            if x:
+                if x < 0:
+                    return False
+                break
+    return True
+
+
 def brute_force_semiring_keys(n: int) -> set[bytes]:
     """Canonical keys of every semiring on {0..n-1}, from raw table pairs.
 

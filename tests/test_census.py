@@ -3,9 +3,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semirings import (
     DomainError,
+    FiniteSemiring,
     InternalCheckError,
     boolean_semiring,
     canonical_form,
@@ -29,11 +32,17 @@ from semirings.census import (
     SCAN_FLAGS,
     _canonical_search,
     _catalog,
+    _cell_holds,
     _complete_mul_tables,
     _completions,
+    _endomorphisms,
+    _leader_step,
     _least_relabeling,
+    _sum_index,
+    _walks,
     enumerate_commutative_monoids,
 )
+from semirings.core import _classify, element_classes
 from semirings.ops import (
     GEN_IDEMPOTENTS,
     GEN_NILIDEMPOTENTS,
@@ -55,7 +64,10 @@ from oracles import (
     canonical_search_brute,
     check_theorem_brute,
     commutative_monoids_brute,
+    decided_instances_hold,
+    endomorphisms_brute,
     fixture_semirings,
+    leader_walk_brute,
     least_relabeling_brute,
     mul_completions_brute,
     scan_flags_brute,
@@ -143,8 +155,8 @@ def test_completions_check_the_preset_cells():
     # (0, 0, 1) breaks associativity and reads no free cell, so only the
     # full check before the first branch rejects these tables.
     broken = [[1, 1, 2], [1, 0, 2], [2, 2, -1]]
-    assert list(_completions(broken, [((2, 2),)], None, 3)) == []
-    assert list(_completions([[1, 1], [1, 0]], [], None, 2)) == []
+    assert list(_completions(broken, [((2, 2),)], 3)) == []
+    assert list(_completions([[1, 1], [1, 0]], [], 2)) == []
 
 
 def test_monoid_counts_match_oeis_a058131():
@@ -178,7 +190,7 @@ def _labelled_semiring_count(n):
     for a in range(n):
         table[0][a] = table[a][0] = a
     cells = [((i, j), (j, i)) for i in range(1, n) for j in range(i, n)]
-    return sum(1 for add in _completions(table, cells, None, n)
+    return sum(1 for add in _completions(table, cells, n)
                for one in range(1, n)
                for _ in _complete_mul_tables(add, n, one))
 
@@ -208,6 +220,146 @@ def test_catalog_refuses_two_leaders_with_one_key(monkeypatch):
                         lambda S: (b"same", list(S.elements)))
     with pytest.raises(InternalCheckError, match="share a canonical key"):
         _catalog(3, 3)
+
+
+@pytest.mark.parametrize("call, order, message", (
+    (enumerate_semirings, True, "integer"),
+    (enumerate_semirings, 2.0, "integer"),
+    (enumerate_semirings, "3", "integer"),
+    (enumerate_semirings, 0, "positive"),
+    (enumerate_commutative_monoids, 0, "positive"),
+    (enumerate_commutative_monoids, -1, "positive"),
+    (enumerate_commutative_monoids, True, "integer"),
+    (enumerate_commutative_monoids, 3.0, "integer"),
+    (lambda order: _catalog(order, 4), False, "integer"),
+))
+def test_bad_orders_are_refused(call, order, message):
+    with pytest.raises(DomainError, match=message):
+        call(order)
+
+
+def _relabeled_monoid(add, perm):
+    n = len(add)
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[add[a][b]]
+    return table
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cell_check_matches_the_rescan(data):
+    # Cells are set one at a time into a table whose decided instances all
+    # hold; the check of the new cell must accept exactly when a rescan of
+    # every decided instance does.  With an addition, each row only ever
+    # agrees with some endomorphism of it on its set cells, as in the
+    # multiplication stage, so the left distributive law holds throughout.
+    n = data.draw(st.integers(2, 5), label="n")
+    add = sums = None
+    if data.draw(st.booleans(), label="with add"):
+        monoid = data.draw(st.sampled_from(enumerate_commutative_monoids(n)))
+        perm = [0] + data.draw(st.permutations(range(1, n)), label="perm")
+        add = _relabeled_monoid(monoid, perm)
+        sums = _sum_index(add, n)
+        ends = endomorphisms_brute(add, n)
+    t = [[-1] * n for _ in range(n)]
+    holders = [[] for _ in range(n)]  # the set cells holding each value
+    everything = [(a, a) for a in range(n)]
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    for i, j in data.draw(st.lists(st.sampled_from(cells), max_size=2 * n * n),
+                          label="cells"):
+        if t[i][j] >= 0:
+            continue
+        values = range(n) if add is None else sorted(
+            {f[j] for f in ends
+             if all(x in (-1, y) for x, y in zip(t[i], f))})
+        if not values:
+            continue
+        v = data.draw(st.sampled_from(values), label="value")
+        t[i][j] = v
+        holders[v].append((i, j))
+        holds = _cell_holds(t, i, j, holders, add, sums)
+        assert holds == decided_instances_hold(t, add, n, everything)
+        if not holds:
+            t[i][j] = -1
+            holders[v].pop()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_leader_step_matches_a_walk_from_the_start(data):
+    # Fill positions are set in order, each to a random value; other cells
+    # are preset, some of them free for good.  Carrying the open
+    # relabelings down must prune exactly where walking the whole group
+    # from position 0 finds a smaller image.
+    n = data.draw(st.integers(2, 5), label="n")
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    preset = data.draw(st.sets(st.sampled_from(cells)), label="preset")
+    spots = [cell for cell in cells if cell not in preset]
+    t = [[-1] * n for _ in range(n)]
+    for i, j in sorted(preset):
+        t[i][j] = data.draw(st.integers(-1, n - 1), label="preset value")
+    group = data.draw(st.lists(st.permutations(range(n)), max_size=8),
+                      label="group")
+    live = _walks(group, spots, n)
+    for k, (i, j) in enumerate(spots):
+        t[i][j] = data.draw(st.integers(0, n - 1), label="value")
+        live = _leader_step(t, live, k)
+        assert (live is not None) == leader_walk_brute(t, spots, group)
+        if live is None:
+            break
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_endomorphisms_match_brute_force(n):
+    for monoid in enumerate_commutative_monoids(n):
+        for perm in ([0, *range(1, n)], [0, *range(n - 1, 0, -1)]):
+            add = _relabeled_monoid(monoid, perm)
+            ends = _endomorphisms(add, n, _sum_index(add, n))
+            assert ends == endomorphisms_brute(add, n)
+            assert [f for f in ends if len(set(f)) == n] == \
+                automorphisms_brute((add,), n)
+
+
+def _fresh_classes(S):
+    """`_classify` on a new semiring with the tables of S, as lists, so
+    that the insertion order of the dicts is compared too."""
+    report, vectors = _classify(FiniteSemiring(
+        order=S.order, add=S.add, mul=S.mul, zero=S.zero, one=S.one,
+        labels=S.labels))
+    return [list(v.items()) if isinstance(v, dict) else v
+            for v in vars(report).values()], vectors
+
+
+def _carried_classes(S, monkeypatch):
+    """The classes of S, which must not come from `_classify`."""
+    import semirings.core as core
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_classify", None)
+        report, vectors = S._classes
+    return [list(v.items()) if isinstance(v, dict) else v
+            for v in vars(report).values()], vectors
+
+
+def test_relabeled_copies_carry_their_classes(monkeypatch):
+    rng = random.Random(16)
+    semirings = [S for order in (2, 3, 4, 5) for _, S in _catalog(order, order)]
+    for _, S in fixture_semirings():
+        element_classes(S)
+        semirings.append(S)
+    for S in semirings:
+        assert _carried_classes(S, monkeypatch) == _fresh_classes(S)
+        for _ in range(3):
+            T = _shuffled(S, rng)
+            assert _carried_classes(T, monkeypatch) == _fresh_classes(T)
+
+
+def test_reindex_classifies_nothing_itself():
+    S = zmod(6)
+    T = reindex(S, [0, 5, 4, 3, 2, 1])
+    assert "_classes" not in vars(T) and "_classes_source" not in vars(T)
 
 
 # ----------------------------------------------------------- canonical keys
