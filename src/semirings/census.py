@@ -2,28 +2,28 @@
 
 Enumeration is staged: first the commutative addition monoids with identity
 at index 0, up to relabeling that fixes 0; then, per additive table and per
-choice of the multiplicative identity, the multiplication tables.  Both
-stages fill a partial table cell by cell, values in ascending order, and
-after each cell check only the law instances that read it, found through
-watch lists (`_cell_holds`).  In the multiplication stage left
-distributivity is not checked but built in: each row is filled only along
-the endomorphisms of the addition that send one to the row's element.  A
-completion is kept only if it is the lex-leader of its orbit under the
-stage's relabelings (orderly generation, after Read's "Every one a
-winner"): all relabelings fixing 0 for the monoids, and for the
-multiplications the automorphisms of the addition that fix one, with one
-tried only at the least element of its orbit.  Each node hands down the
-relabelings whose comparison is still open, with the position where it
-is open (`_leader_step`).  So each class is built once, and no table is
-thrown away as a duplicate.  The output is the same as keeping the first
-table of each class from a search with no group: values are tried in
-ascending order, so that first table is the least of its class in fill
-order, which is the leader.  What depends only on the addition (the sum
-index, the endomorphisms and the automorphisms among them) is built once
-per monoid.  On 2 vCPUs under CPython 3.11 the monoids of order 6 take
-about 0.1 s and the whole order-6 catalog about 1.4 s; at order 7 they
-take about 2 s and 25 s (0.5 s, 3.2 s, 8 s and 64 s with a full rescan
-of the laws per cell and a leader test from the first position).
+choice of the multiplicative identity, the multiplication tables.  One
+search, `_completions`, runs both stages: it fills a partial table cell by
+cell, values in ascending order, and after each preset or filled cell
+checks only the law instances that read it, found through watch lists
+(`_cell_holds`).  Each row takes its values from a trie: every value for
+the monoids, whose cells are set with their mirrors, and for the
+multiplications the endomorphisms of the addition that send one to the
+row's element, which builds in left distributivity.  A completion is kept
+only if it is the lex-leader of its orbit under the stage's relabelings
+(orderly generation, after Read's "Every one a winner"): all relabelings
+fixing 0 for the monoids, and for the multiplications the automorphisms
+of the addition that fix one, with one tried only at the least element
+of its orbit.  Each node hands down the relabelings whose comparison is
+still open, with the position where it is open (`_leader_step`).  So
+each class is built once, and no table is thrown away as a duplicate.
+The output is the same as keeping the first table of each class from a
+search with no group: values are tried in ascending order, so that first
+table is the least of its class in fill order, which is the leader.  What
+depends only on the addition (the sum index, the endomorphisms and the
+automorphisms among them) is built once per monoid.  On 2 vCPUs under
+CPython 3.11 the monoids of order 6 take about 0.1 s and the whole
+order-6 catalog about 1.4 s; at order 7 they take about 2 s and 25 s.
 
 Each class is named by a canonical key, the lexicographically least
 relabeling fixing zero at 0 and one at 1 within invariant-vector blocks,
@@ -33,7 +33,8 @@ larger, so it reaches the same key, and on ties the same permutation, as
 trying every relabeling would.  The key sorts the output; two leaders with
 one key would be a defect, and raise InternalCheckError.  The class report
 and invariant vectors that the key needed travel with the representative,
-relabeled by `core.reindex`, so a scan does not classify it again.
+relabeled by `core._relabeled` when first asked for, so a scan does not
+classify it again.
 
 A scan judges each theorem with `ops.check_theorem` and reads the entry
 flags off the same clause checks, which `ops.check_clause` evaluates once
@@ -43,7 +44,7 @@ per semiring, so every clause of `ops.CLAUSES` runs once per entry.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
     DEFAULT_MAX_ORDER,
@@ -51,6 +52,7 @@ from .core import (
     DomainError,
     FiniteSemiring,
     InternalCheckError,
+    _relabeled,
     _walk,
     make_semiring,
     reindex,
@@ -359,38 +361,44 @@ def _walks(group, spots, n: int) -> list:
     return live
 
 
-def _completions(t, cells, n: int, group=()):
-    """Each associative completion of the symmetric partial table `t` (-1
-    marks a free cell) that is the lex-leader of its orbit under `group`,
-    as a tuple of tuples.  Each tuple in `cells` is a position (i, j) and,
-    off the diagonal, its mirror (j, i); both get one value, tried in
-    ascending order, so the table stays symmetric.
+def _completions(t, cells, n: int, group=(), roots=None, add=None,
+                 sums=None):
+    """Each completion of the partial table `t` (-1 marks a free cell)
+    that is associative and, unless `add` is None, right distributive over
+    the commutative `add` (`sums` is `_sum_index(add, n)`), and is the
+    lex-leader of its orbit under `group`, as a tuple of tuples.  Each
+    tuple in `cells` is a position, or a position and its mirror, set to
+    one value.  `roots[i]` is the `_trie` of row i's values at its cells,
+    which come one after another in `cells`; None allows every value.
 
     The search sets the preset cells of `t` one at a time, then the tuples
     of `cells` in order, and checks with `_cell_holds` only the instances
     that read the cell just set; so every decided instance holds at every
     node, including those that read only preset cells.  On a symmetric
-    table the mirror (c, b, a) of an instance (a, b, c) reads the mirrors
-    of its cells and holds exactly when it does, so a tuple's first
-    position is the only one checked.
+    table the mirror (c, b, a) of an associativity instance (a, b, c)
+    reads the mirrors of its cells and holds exactly when it does, so a
+    tuple's first position is the only one checked.  Right distributivity
+    has no such mirror, so `add` goes with tuples of one position.
 
     `group` lists relabelings p (old to new, a sequence) that keep the
-    preset cells and the law, so each maps a completion c to the
-    completion p.c with (p.c)[p[i]][p[j]] = p[c[i][j]].  A completion is a
-    leader when no p.c is smaller in fill order, the order of the first
-    position of each tuple in `cells`.  Each node passes on, by
-    `_leader_step`, the relabelings whose comparison with the partial
-    table is still open, and prunes when one reads smaller: every cell
-    read is set and stays set, so p.c is then smaller for every completion
-    c of the partial table, and the subtree holds no leader; at a full
-    table the comparison is decided for every relabeling.
+    preset cells, the laws and the row candidates, so each maps a
+    completion c to the completion p.c with (p.c)[p[i]][p[j]] = p[c[i][j]].
+    A completion is a leader when no p.c is smaller in fill order, the
+    order of the first position of each tuple in `cells`.  Each node
+    passes on, by `_leader_step`, the relabelings whose comparison with
+    the partial table is still open, and prunes when one reads smaller:
+    every cell read is set and stays set, so p.c is then smaller for every
+    completion c of the partial table, and the subtree holds no leader; at
+    a full table the comparison is decided for every relabeling.
 
     So the search yields the leaders, and only them.  Values are tried in
     ascending order, so completions come in fill order and the leader of
     an orbit is its first completion.  Where `group` holds every
-    relabeling that keeps the presets and the law, the orbits are the
+    relabeling that keeps the presets and the laws, the orbits are the
     isomorphism classes, and the leaders are the tables that a search
     with no group would keep if it kept the first table of each class."""
+    if roots is None:
+        roots = [[(v, None) for v in range(n)]] * n
     preset, t = t, [[-1] * n for _ in range(n)]
     holders: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, row in enumerate(preset):
@@ -398,28 +406,29 @@ def _completions(t, cells, n: int, group=()):
             if v >= 0:
                 t[i][j] = v
                 holders[v].append((i, j))
-                if not _cell_holds(t, i, j, holders):
+                if not _cell_holds(t, i, j, holders, add, sums):
                     return
 
-    def fill(k: int, live):
+    def fill(k: int, live, node):
         if k == len(cells):
             yield tuple(tuple(row) for row in t)
             return
         tup = cells[k]
-        for v in range(n):
+        i, j = tup[0]
+        for v, rest in roots[i] if node is None else node:
+            for a, b in tup:
+                t[a][b] = v
             held = holders[v]
-            for i, j in tup:
-                t[i][j] = v
-                held.append((i, j))
-            if _cell_holds(t, *tup[0], holders):
+            held += tup
+            if _cell_holds(t, i, j, holders, add, sums):
                 nxt = _leader_step(t, live, k)
                 if nxt is not None:
-                    yield from fill(k + 1, nxt)
-            del held[len(held) - len(tup):]
-        for i, j in tup:
-            t[i][j] = -1
+                    yield from fill(k + 1, nxt, rest)
+            del held[-len(tup):]
+        for a, b in tup:
+            t[a][b] = -1
 
-    yield from fill(0, _walks(group, [tup[0] for tup in cells], n))
+    yield from fill(0, _walks(group, [tup[0] for tup in cells], n), None)
 
 
 def _check_order(order) -> None:
@@ -516,14 +525,12 @@ def _complete_mul_tables(add, n: int, one: int, group=(), ends=None,
     built here if not given.
 
     Left distributivity, a(b+c) = ab + ac, says that row a is an
-    endomorphism of (S, +); it sends 0 to 0 and `one` to a.  So each free
-    cell of row a takes only the values that the endomorphisms agreeing
-    with the row's set cells give it, from a trie of them, and there are
-    no tables if some row has no such endomorphism.  `_cell_holds` checks
-    associativity and right distributivity.  The instances that read only
-    the preset rows and columns of 0 and `one` need no check: those of
-    associativity hold by the identity and zero laws, and (1+1)c = c + c,
-    with 1 + 1 in {0, 1}, is c(1+1) = c + c for the endomorphism row c."""
+    endomorphism of (S, +); it sends 0 to 0 and `one` to a.  So the free
+    cells of row a take only the values of the endomorphisms that send
+    `one` to a, read from a trie of them that follows the row's set cells,
+    and there are no tables if some row has no such endomorphism.
+    `_completions` checks associativity and right distributivity, the
+    preset rows and columns of 0 and `one` included."""
     if sums is None:
         sums = _sum_index(add, n)
     if ends is None:
@@ -532,41 +539,15 @@ def _complete_mul_tables(add, n: int, one: int, group=(), ends=None,
     for a in range(n):
         t[0][a] = t[a][0] = 0
         t[one][a] = t[a][one] = a
-    holders: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, row in enumerate(t):
-        for j, v in enumerate(row):
-            if v >= 0:
-                holders[v].append((i, j))
     free = [x for x in range(1, n) if x != one]
-    cells = [(i, j) for i in free for j in free]
     rows: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     for f in ends:
         rows[f[one]].append(f)
     if not all(rows[x] for x in free):
         return
-    tries: dict[int, list] = {}  # row -> trie of its values, built on demand
-
-    def fill(k: int, live, node):
-        if k == len(cells):
-            yield tuple(tuple(row) for row in t)
-            return
-        i, j = cells[k]
-        if j == free[0]:
-            node = tries.get(i)
-            if node is None:
-                node = tries[i] = _trie([[f[c] for c in free] for f in rows[i]])
-        for v, rest in node:
-            t[i][j] = v
-            held = holders[v]
-            held.append((i, j))
-            if _cell_holds(t, i, j, holders, add, sums):
-                nxt = _leader_step(t, live, k)
-                if nxt is not None:
-                    yield from fill(k + 1, nxt, rest)
-            held.pop()
-        t[i][j] = -1
-
-    yield from fill(0, _walks(group, cells, n), None)
+    roots = {x: _trie([[f[c] for c in free] for f in rows[x]]) for x in free}
+    yield from _completions(t, [((i, j),) for i in free for j in free], n,
+                            group, roots, add, sums)
 
 
 def _catalog(order: int, max_order: int) -> list[tuple[bytes, FiniteSemiring]]:
@@ -581,6 +562,7 @@ def _catalog(order: int, max_order: int) -> list[tuple[bytes, FiniteSemiring]]:
     and the stabiliser of `one` is the group of the leader search: each
     leader is a class of its own."""
     _check_order(order)
+    _check_order(max_order)
     if order > max_order:
         raise DomainError(f"order {order} above configured maximum {max_order}")
     if order == 1:
@@ -604,10 +586,7 @@ def _catalog(order: int, max_order: int) -> list[tuple[bytes, FiniteSemiring]]:
                 if key in found:
                     raise InternalCheckError(
                         "two leaders of the census share a canonical key")
-                canon = reindex(S, perm)
-                found[key] = rep = replace(canon, labels=labels)
-                # the classes of S, relabeled, so no scan classifies again
-                rep.__dict__["_classes"] = canon._classes
+                found[key] = _relabeled(S, perm, labels)
     return sorted(found.items())
 
 
@@ -653,6 +632,7 @@ def scan(orders, theorem_ids=THEOREM_IDS, include_trivial: bool = False,
     orders = tuple(orders)
     for order in orders:
         _check_order(order)
+    _check_order(max_order)
     if len(set(orders)) != len(orders):
         raise DomainError(f"orders must be distinct, not {list(orders)}")
     for theorem in theorem_ids:

@@ -547,8 +547,15 @@ def make_semiring(add, mul, zero: int, one: int,
 
 def reindex(S: FiniteSemiring, perm: Iterable[int]) -> FiniteSemiring:
     """Relabel S along perm (perm[old] = new index); an isomorphic copy.
-    A class report already computed for S is relabeled for the copy, when
-    the copy's classes are first asked for, instead of computed again."""
+    A class report that S has, computed or pending from an earlier
+    relabeling, is relabeled for the copy when the copy's classes are
+    first asked for, instead of computed again."""
+    return _relabeled(S, perm, None)
+
+
+def _relabeled(S: FiniteSemiring, perm: Iterable[int],
+               labels: tuple[str, ...] | None) -> FiniteSemiring:
+    """`reindex`, with `labels` for the copy (None: S's labels, moved)."""
     perm = tuple(perm)
     if sorted(perm) != list(S.elements):
         raise DomainError("perm must be a permutation of the carrier")
@@ -558,10 +565,11 @@ def reindex(S: FiniteSemiring, perm: Iterable[int]) -> FiniteSemiring:
     add, mul = (tuple(tuple([perm[row[j]] for j in inv])
                       for row in [table[i] for i in inv])
                 for table in (S.add, S.mul))
+    if labels is None:
+        labels = tuple([S.labels[i] for i in inv])
     T = FiniteSemiring(order=S.order, add=add, mul=mul,
-                       zero=perm[S.zero], one=perm[S.one],
-                       labels=tuple([S.labels[i] for i in inv]))
-    if "_classes" in S.__dict__:
+                       zero=perm[S.zero], one=perm[S.one], labels=labels)
+    if "_classes" in S.__dict__ or "_classes_source" in S.__dict__:
         T.__dict__["_classes_source"] = (S._classes, perm, inv)
     return T
 

@@ -157,6 +157,12 @@ def test_completions_check_the_preset_cells():
     broken = [[1, 1, 2], [1, 0, 2], [2, 2, -1]]
     assert list(_completions(broken, [((2, 2),)], 3)) == []
     assert list(_completions([[1, 1], [1, 0]], [], 2)) == []
+    # The constant 1 is associative, but over Z/2 (1+1)a = 1 is not
+    # 1a + 1a = 0, so only right distributivity rejects it.
+    add, constant = [[0, 1], [1, 0]], [[1, 1], [1, 1]]
+    assert list(_completions(constant, [], 2)) == [((1, 1), (1, 1))]
+    assert list(_completions(constant, [], 2, add=add,
+                             sums=_sum_index(add, 2))) == []
 
 
 def test_monoid_counts_match_oeis_a058131():
@@ -232,6 +238,11 @@ def test_catalog_refuses_two_leaders_with_one_key(monkeypatch):
     (enumerate_commutative_monoids, True, "integer"),
     (enumerate_commutative_monoids, 3.0, "integer"),
     (lambda order: _catalog(order, 4), False, "integer"),
+    (lambda max_order: enumerate_semirings(2, max_order=max_order), None,
+     "integer"),
+    (lambda max_order: enumerate_semirings(2, max_order), "4", "integer"),
+    (lambda max_order: enumerate_semirings(1, max_order), True, "integer"),
+    (lambda max_order: scan([2], max_order=max_order), 2.5, "integer"),
 ))
 def test_bad_orders_are_refused(call, order, message):
     with pytest.raises(DomainError, match=message):
@@ -353,6 +364,8 @@ def test_relabeled_copies_carry_their_classes(monkeypatch):
         assert _carried_classes(S, monkeypatch) == _fresh_classes(S)
         for _ in range(3):
             T = _shuffled(S, rng)
+            U = _shuffled(T, rng)  # made while T's classes are pending
+            assert _carried_classes(U, monkeypatch) == _fresh_classes(U)
             assert _carried_classes(T, monkeypatch) == _fresh_classes(T)
 
 
