@@ -31,10 +31,9 @@ found by one branch and bound, `_least_relabeling`, that builds the key
 cell by cell and prunes every partial relabeling whose prefix is already
 larger, so it reaches the same key, and on ties the same permutation, as
 trying every relabeling would.  The key sorts the output; two leaders with
-one key would be a defect, and raise InternalCheckError.  The class report
-and invariant vectors that the key needed travel with the representative,
-relabeled by `core._relabeled` when first asked for, so a scan does not
-classify it again.
+one key would be a defect, and raise InternalCheckError.  The key needs
+only the invariant vectors, so building the catalog classifies nothing;
+a scan classifies each representative from its own tables.
 
 A scan judges each theorem with `ops.check_theorem` and reads the entry
 flags off the same clause checks, which `ops.check_clause` evaluates once
@@ -431,12 +430,21 @@ def _completions(t, cells, n: int, group=(), roots=None, add=None,
     yield from fill(0, _walks(group, [tup[0] for tup in cells], n), None)
 
 
-def _check_order(order) -> None:
+def _check_order(order, name: str = "order") -> None:
     """Refuse an order that is not a positive int (a bool is not one)."""
     if not isinstance(order, int) or isinstance(order, bool):
-        raise DomainError(f"order must be an integer, not {order!r}")
+        raise DomainError(f"{name} must be an integer, not {order!r}")
     if order < 1:
-        raise DomainError(f"order must be positive, not {order}")
+        raise DomainError(f"{name} must be positive, not {order}")
+
+
+def _check_orders(orders, max_order) -> None:
+    """Refuse what `_check_order` refuses, and any order above max_order."""
+    _check_order(max_order, "max_order")
+    for order in orders:
+        _check_order(order)
+        if order > max_order:
+            raise DomainError(f"order {order} above configured maximum {max_order}")
 
 
 def _relabelings(n: int) -> list[tuple[int, ...]]:
@@ -561,10 +569,7 @@ def _catalog(order: int, max_order: int) -> list[tuple[bytes, FiniteSemiring]]:
     `one` is tried only at the least element of its orbit under Aut(add),
     and the stabiliser of `one` is the group of the leader search: each
     leader is a class of its own."""
-    _check_order(order)
-    _check_order(max_order)
-    if order > max_order:
-        raise DomainError(f"order {order} above configured maximum {max_order}")
+    _check_orders((order,), max_order)
     if order == 1:
         S = make_semiring(((0,),), ((0,),), 0, 0, ("0",))
         return [(canonical_form(S), S)]
@@ -630,9 +635,7 @@ def scan(orders, theorem_ids=THEOREM_IDS, include_trivial: bool = False,
     (semiring, theorem) pair whose hypotheses hold but whose conclusions
     fail.  Orders must be distinct integers."""
     orders = tuple(orders)
-    for order in orders:
-        _check_order(order)
-    _check_order(max_order)
+    _check_orders(orders, max_order)
     if len(set(orders)) != len(orders):
         raise DomainError(f"orders must be distinct, not {list(orders)}")
     for theorem in theorem_ids:

@@ -206,11 +206,12 @@ class FiniteSemiring:
         return {lab: i for i, lab in enumerate(self.labels)}
 
     @cached_property
-    def _classes(self) -> tuple[ClassReport, list[tuple]]:
-        # `reindex` leaves the classes of its source and the permutation
-        # here, so a copy that is classified relabels them instead
-        source = self.__dict__.pop("_classes_source", None)
-        return _classify(self) if source is None else _relabel_classes(*source)
+    def _classes(self) -> ClassReport:
+        return _classify(self)
+
+    @cached_property
+    def _vectors(self) -> list[tuple]:
+        return [vector for _, _, vector in _orbits(self)]
 
     @cached_property
     def _clauses(self) -> dict:
@@ -547,9 +548,8 @@ def make_semiring(add, mul, zero: int, one: int,
 
 def reindex(S: FiniteSemiring, perm: Iterable[int]) -> FiniteSemiring:
     """Relabel S along perm (perm[old] = new index); an isomorphic copy.
-    A class report that S has, computed or pending from an earlier
-    relabeling, is relabeled for the copy when the copy's classes are
-    first asked for, instead of computed again."""
+    The copy is a new semiring: its classes and invariant vectors are
+    computed from its own tables when first asked for."""
     return _relabeled(S, perm, None)
 
 
@@ -559,54 +559,14 @@ def _relabeled(S: FiniteSemiring, perm: Iterable[int],
     perm = tuple(perm)
     if sorted(perm) != list(S.elements):
         raise DomainError("perm must be a permutation of the carrier")
-    inv = [0] * S.order
-    for old, new in enumerate(perm):
-        inv[new] = old
+    inv = sorted(S.elements, key=perm.__getitem__)  # inv[new] = old
     add, mul = (tuple(tuple([perm[row[j]] for j in inv])
                       for row in [table[i] for i in inv])
                 for table in (S.add, S.mul))
     if labels is None:
         labels = tuple([S.labels[i] for i in inv])
-    T = FiniteSemiring(order=S.order, add=add, mul=mul,
-                       zero=perm[S.zero], one=perm[S.one], labels=labels)
-    if "_classes" in S.__dict__ or "_classes_source" in S.__dict__:
-        T.__dict__["_classes_source"] = (S._classes, perm, inv)
-    return T
-
-
-def _relabel_classes(classes: tuple[ClassReport, list[tuple]], perm,
-                     inv) -> tuple[ClassReport, list[tuple]]:
-    """The class report and invariant vectors of S, as `_classify` gives
-    them for the copy relabeled along perm (perm[old] = new, inv its
-    inverse).  Sets and dict keys move with perm, and the dicts are filled
-    in the new index order, as `_classify` fills them.  The witnesses are
-    unique inverses, so they move with perm too; invariant vectors and
-    nilpotency indices are the same at x and at perm[x]."""
-    report, vectors = classes
-    n = len(perm)
-    bits = [1 << new for new in perm]
-
-    def moved(s: ElementSet) -> ElementSet:
-        mask = s.mask
-        return ElementSet(sum([bit for old, bit in enumerate(bits)
-                               if mask >> old & 1]), n)
-
-    def moved_dict(d: dict[int, int], witness: bool) -> dict[int, int]:
-        return {new: perm[d[old]] if witness else d[old]
-                for new, old in enumerate(inv) if old in d}
-
-    return ClassReport(
-        idempotents=moved(report.idempotents),
-        nilpotents=moved(report.nilpotents),
-        nilidempotents=moved(report.nilidempotents),
-        additively_invertible=moved(report.additively_invertible),
-        additive_inverse_witness=moved_dict(report.additive_inverse_witness,
-                                            True),
-        center=moved(report.center),
-        units=moved(report.units),
-        unit_witness=moved_dict(report.unit_witness, True),
-        nilpotency_index=moved_dict(report.nilpotency_index, False),
-    ), [vectors[old] for old in inv]
+    return FiniteSemiring(order=S.order, add=add, mul=mul,
+                          zero=perm[S.zero], one=perm[S.one], labels=labels)
 
 
 def tabulate(elements, plus, times, zero, one, label) -> FiniteSemiring:
@@ -697,14 +657,15 @@ def element_classes(S: FiniteSemiring) -> ClassReport:
 
     The report is computed once per semiring and shared by every caller.
     """
-    return S._classes[0]
+    return S._classes
 
 
 def invariant_vectors(S: FiniteSemiring) -> list[tuple]:
     """Per element: idempotent, nilpotency index (0 if none), additively
     invertible, unit, and the (tail, cycle) lengths of its additive and
-    multiplicative orbits; computed once, with the class report."""
-    return list(S._classes[1])
+    multiplicative orbits.  Computed once per semiring, by `_classify` if
+    it runs first, else from the orbits alone."""
+    return list(S._vectors)
 
 
 def _orbit(row, x: int) -> tuple[list[int], int]:
@@ -716,10 +677,23 @@ def _orbit(row, x: int) -> tuple[list[int], int]:
     return list(seen), seen[x]
 
 
-def _classify(S: FiniteSemiring) -> tuple[ClassReport, list[tuple]]:
-    """The class report and the invariant vectors, from one walk of the
-    multiples a, 2a, 3a, ... and one of the powers a, a^2, a^3, ... of
-    each element a, each up to its first repeat.
+def _orbits(S: FiniteSemiring):
+    """For each element a in turn: its multiples a, 2a, 3a, ..., its powers
+    a, a^2, a^3, ..., each up to its first repeat, and its invariant
+    vector, read off those two walks (see `_classify`)."""
+    zero, one = S.zero, S.one
+    for a, add_row, mul_row in zip(S.elements, S.add, S.mul):
+        multiples, add_tail = _orbit(add_row, a)
+        powers, mul_tail = _orbit(mul_row, a)
+        k, end = len(powers), powers[-1]
+        yield multiples, powers, (
+            k == 1, k if end == zero else 0, multiples[-1] == zero, end == one,
+            (add_tail, len(multiples) - add_tail), (mul_tail, k - mul_tail))
+
+
+def _classify(S: FiniteSemiring) -> ClassReport:
+    """The class report, from the walks of `_orbits`; the invariant vectors
+    come with them and are kept on S unless it has them already.
 
     An identity on an orbit ends it, as the next step returns to a, and so
     does zero on the powers, being absorbing.  Conversely each element of
@@ -737,19 +711,16 @@ def _classify(S: FiniteSemiring) -> tuple[ClassReport, list[tuple]]:
     add_inv: dict[int, int] = {}
     unit_wit: dict[int, int] = {}
     vectors = []
-    for a in S.elements:
-        multiples, add_tail = _orbit(S.add[a], a)
-        powers, mul_tail = _orbit(S.mul[a], a)
+    for a, (multiples, powers, vector) in enumerate(_orbits(S)):
         # orbit[-2:][0] is the element before the last, or a if alone
-        if multiples[-1] == S.zero:
+        if vector[2]:
             add_inv[a] = multiples[-2:][0]
-        if powers[-1] == S.one:
+        if vector[3]:
             unit_wit[a] = powers[-2:][0]
-        if powers[-1] == S.zero:
-            nil_index[a] = len(powers)
-        vectors.append((len(powers) == 1, nil_index.get(a, 0), a in add_inv,
-                        a in unit_wit, (add_tail, len(multiples) - add_tail),
-                        (mul_tail, len(powers) - mul_tail)))
+        if vector[1]:
+            nil_index[a] = vector[1]
+        vectors.append(vector)
+    S.__dict__.setdefault("_vectors", vectors)
     # e + x over the nilpotents x, gathered from row e; zero is nilpotent,
     # so listing it again changes no sum and keeps the result a tuple
     nil_sums = itemgetter(S.zero, *nil_index)
@@ -758,7 +729,7 @@ def _classify(S: FiniteSemiring) -> tuple[ClassReport, list[tuple]]:
     center = [a for a, (row, col) in enumerate(zip(S.mul, zip(*S.mul)))
               if row == col]
     n = S.order
-    report = ClassReport(
+    return ClassReport(
         idempotents=ElementSet.of(idem, n),
         nilpotents=ElementSet.of(nil_index, n),
         nilidempotents=ElementSet.of(nilidem, n),
@@ -769,7 +740,6 @@ def _classify(S: FiniteSemiring) -> tuple[ClassReport, list[tuple]]:
         unit_witness=unit_wit,
         nilpotency_index=nil_index,
     )
-    return report, vectors
 
 
 def noncommuting_pair(S: FiniteSemiring) -> tuple[int, int] | None:

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import random
 
@@ -42,7 +43,6 @@ from semirings.census import (
     _walks,
     enumerate_commutative_monoids,
 )
-from semirings.core import _classify, element_classes
 from semirings.ops import (
     GEN_IDEMPOTENTS,
     GEN_NILIDEMPOTENTS,
@@ -245,8 +245,24 @@ def test_catalog_refuses_two_leaders_with_one_key(monkeypatch):
     (lambda max_order: scan([2], max_order=max_order), 2.5, "integer"),
 ))
 def test_bad_orders_are_refused(call, order, message):
-    with pytest.raises(DomainError, match=message):
+    # the refusal names the argument that the case varies
+    name = next(iter(inspect.signature(call).parameters))
+    name = "max_order" if name == "max_order" else "order"
+    with pytest.raises(DomainError, match=f"^{name} must be .*{message}"):
         call(order)
+
+
+def test_scan_refuses_large_orders_before_any_catalog(monkeypatch):
+    import semirings.census as census
+
+    calls = []
+    catalog = census._catalog
+    monkeypatch.setattr(census, "_catalog",
+                        lambda *args: calls.append(args) or catalog(*args))
+    with pytest.raises(DomainError,
+                       match="^order 7 above configured maximum 4$"):
+        scan([2, 4, 7], max_order=4)
+    assert calls == []
 
 
 def _relabeled_monoid(add, perm):
@@ -333,46 +349,10 @@ def test_endomorphisms_match_brute_force(n):
                 automorphisms_brute((add,), n)
 
 
-def _fresh_classes(S):
-    """`_classify` on a new semiring with the tables of S, as lists, so
-    that the insertion order of the dicts is compared too."""
-    report, vectors = _classify(FiniteSemiring(
-        order=S.order, add=S.add, mul=S.mul, zero=S.zero, one=S.one,
-        labels=S.labels))
-    return [list(v.items()) if isinstance(v, dict) else v
-            for v in vars(report).values()], vectors
-
-
-def _carried_classes(S, monkeypatch):
-    """The classes of S, which must not come from `_classify`."""
-    import semirings.core as core
-
-    with monkeypatch.context() as patch:
-        patch.setattr(core, "_classify", None)
-        report, vectors = S._classes
-    return [list(v.items()) if isinstance(v, dict) else v
-            for v in vars(report).values()], vectors
-
-
-def test_relabeled_copies_carry_their_classes(monkeypatch):
-    rng = random.Random(16)
-    semirings = [S for order in (2, 3, 4, 5) for _, S in _catalog(order, order)]
-    for _, S in fixture_semirings():
-        element_classes(S)
-        semirings.append(S)
-    for S in semirings:
-        assert _carried_classes(S, monkeypatch) == _fresh_classes(S)
-        for _ in range(3):
-            T = _shuffled(S, rng)
-            U = _shuffled(T, rng)  # made while T's classes are pending
-            assert _carried_classes(U, monkeypatch) == _fresh_classes(U)
-            assert _carried_classes(T, monkeypatch) == _fresh_classes(T)
-
-
 def test_reindex_classifies_nothing_itself():
     S = zmod(6)
     T = reindex(S, [0, 5, 4, 3, 2, 1])
-    assert "_classes" not in vars(T) and "_classes_source" not in vars(T)
+    assert "_classes" not in vars(T) and "_vectors" not in vars(T)
 
 
 # ----------------------------------------------------------- canonical keys

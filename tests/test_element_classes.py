@@ -12,7 +12,7 @@ and scan flags built on them those of `check_theorem_brute`.
 """
 
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import cache
 
 import pytest
@@ -96,30 +96,57 @@ def _variants(S):
         yield reindex(S, perm)
 
 
+def _assert_classes_and_vectors_match(S):
+    got, want = element_classes(S), classify_brute(S)
+    for field in fields(ClassReport):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        assert g == w, field.name
+        if isinstance(w, dict):
+            assert list(g) == list(w), field.name
+    # repr tells True from 1, so the vectors are equal entry for entry
+    assert repr(invariant_vectors(S)) == repr(invariant_vectors_brute(S))
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_classes_and_vectors_match_the_oracle(name):
     for S in _variants(_semiring(name)):
-        got, want = element_classes(S), classify_brute(S)
-        for field in fields(ClassReport):
-            g, w = getattr(got, field.name), getattr(want, field.name)
-            assert g == w, field.name
-            if isinstance(w, dict):
-                assert list(g) == list(w), field.name
-        # repr tells True from 1, so the vectors are equal entry for entry
-        assert repr(invariant_vectors(S)) == repr(invariant_vectors_brute(S))
+        _assert_classes_and_vectors_match(S)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_classes_match_the_oracle_after_the_vectors(name):
+    # the vectors come from the orbits alone; classifying later keeps them
+    for S in _variants(replace(_semiring(name))):
+        vectors = invariant_vectors(S)
+        assert repr(vectors) == repr(invariant_vectors_brute(S))
+        _assert_classes_and_vectors_match(S)
+
+
+def _counted(monkeypatch, name):
+    """Patch core's function `name` to record each semiring it is given."""
+    calls = []
+    function = getattr(core, name)
+    monkeypatch.setattr(core, name, lambda S: calls.append(S) or function(S))
+    return calls
 
 
 def test_invariant_vectors_are_computed_once(monkeypatch):
-    calls = []
-    classify = core._classify
-    monkeypatch.setattr(core, "_classify",
-                        lambda S: calls.append(S) or classify(S))
+    classified = _counted(monkeypatch, "_classify")
+    walked = _counted(monkeypatch, "_orbits")
+    # the key and the isomorphism search need the vectors alone
     S = from_preset("product:t2b,zmod:2")
-    element_classes(S)
-    invariant_vectors(S)
     canonical_form(S)
     assert isomorphic(S, S) is not None
-    assert len(calls) == 1 and calls[0] is S
+    invariant_vectors(S)
+    assert classified == [] and len(walked) == 1 and walked[0] is S
+    # classifying first walks the orbits once for both
+    T = from_preset("product:t2b,zmod:2")
+    element_classes(T)
+    invariant_vectors(T)
+    canonical_form(T)
+    assert isomorphic(T, T) is not None
+    assert len(classified) == 1 and classified[0] is T
+    assert len(walked) == 2 and walked[1] is T
 
 
 def test_invariant_vectors_are_a_fresh_list():
