@@ -559,7 +559,9 @@ def _relabeled(S: FiniteSemiring, perm: Iterable[int],
     perm = tuple(perm)
     if sorted(perm) != list(S.elements):
         raise DomainError("perm must be a permutation of the carrier")
-    inv = sorted(S.elements, key=perm.__getitem__)  # inv[new] = old
+    inv = [0] * S.order
+    for old, new in enumerate(perm):
+        inv[new] = old
     add, mul = (tuple(tuple([perm[row[j]] for j in inv])
                       for row in [table[i] for i in inv])
                 for table in (S.add, S.mul))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from semirings import (
     DomainError,
-    FiniteSemiring,
     InternalCheckError,
     boolean_semiring,
     canonical_form,
@@ -245,10 +244,11 @@ def test_catalog_refuses_two_leaders_with_one_key(monkeypatch):
     (lambda max_order: scan([2], max_order=max_order), 2.5, "integer"),
 ))
 def test_bad_orders_are_refused(call, order, message):
-    # the refusal names the argument that the case varies
-    name = next(iter(inspect.signature(call).parameters))
-    name = "max_order" if name == "max_order" else "order"
-    with pytest.raises(DomainError, match=f"^{name} must be .*{message}"):
+    # the refusal names the argument that the case varies: max_order, or
+    # else the order, whatever the function calls it
+    varied = next(iter(inspect.signature(call).parameters))
+    named = "max_order" if varied == "max_order" else "order"
+    with pytest.raises(DomainError, match=f"^{named} must be .*{message}"):
         call(order)
 
 
