@@ -21,19 +21,18 @@ The output is the same as keeping the first table of each class from a
 search with no group: values are tried in ascending order, so that first
 table is the least of its class in fill order, which is the leader.  What
 depends only on the addition (the sum index, the endomorphisms and the
-automorphisms among them) is built once per monoid.  On 2 vCPUs under
-CPython 3.11 the monoids of order 6 take about 0.1 s and the whole
-order-6 catalog about 1.4 s; at order 7 they take about 2 s and 25 s.
+automorphisms among them) is built once per monoid.
 
 Each class is named by a canonical key, the lexicographically least
 relabeling fixing zero at 0 and one at 1 within invariant-vector blocks,
 found by one branch and bound, `_least_relabeling`, that builds the key
 cell by cell and prunes every partial relabeling whose prefix is already
 larger, so it reaches the same key, and on ties the same permutation, as
-trying every relabeling would.  The key sorts the output; two leaders with
-one key would be a defect, and raise InternalCheckError.  The key needs
-only the invariant vectors, so building the catalog classifies nothing;
-a scan classifies each representative from its own tables.
+trying every relabeling would.  The key sorts the output and spells the
+representative; two leaders with one key would be a defect, and raise
+InternalCheckError.  The key needs only the invariant vectors, so
+building the catalog classifies nothing; a scan classifies each
+representative from its own tables.  The monoids need no keys.
 
 A scan judges each theorem with `ops.check_theorem` and reads the entry
 flags off the same clause checks, which `ops.check_clause` evaluates once
@@ -51,7 +50,6 @@ from .core import (
     DomainError,
     FiniteSemiring,
     InternalCheckError,
-    _relabeled,
     _walk,
     make_semiring,
     reindex,
@@ -452,26 +450,22 @@ def _relabelings(n: int) -> list[tuple[int, ...]]:
     return [(0, *p) for p in itertools.permutations(range(1, n))][1:]
 
 
-def _monoid_leaders(n: int):
-    """The commutative monoid tables on {0..n-1} with identity 0 that are
-    the leaders of their classes under every relabeling fixing 0, in fill
-    order."""
+def enumerate_commutative_monoids(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Commutative monoid tables on {0..n-1} with identity 0, one table per
+    isomorphism class (isomorphisms fix 0): the leaders under every
+    relabeling that fixes 0, in fill order.
+
+    Each leader is also its class's least relabeling, flattened: every
+    relabeling here keeps row and column 0, and a cell below the diagonal
+    repeats one earlier in row-major order, so flattened tables compare as
+    their fill positions do.  So the leaders come sorted by that key."""
+    _check_order(n)
     table = [[-1] * n for _ in range(n)]
     for a in range(n):
         table[0][a] = table[a][0] = a
     cells = [((i, j), (j, i)) if i < j else ((i, i),)
              for i in range(1, n) for j in range(i, n)]
-    return _completions(table, cells, n, _relabelings(n))
-
-
-def enumerate_commutative_monoids(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Commutative monoid tables on {0..n-1} with identity 0, one table per
-    isomorphism class (isomorphisms fix 0): the leaders under every
-    relabeling that fixes 0, sorted by canonical key."""
-    _check_order(n)
-    blocks = [list(range(1, n))]
-    return sorted(_monoid_leaders(n),
-                  key=lambda m: _least_relabeling((m,), n, {0: 0}, blocks)[0])
+    return list(_completions(table, cells, n, _relabelings(n)))
 
 
 def _endomorphisms(add, n: int, sums) -> list[tuple[int, ...]]:
@@ -568,30 +562,32 @@ def _catalog(order: int, max_order: int) -> list[tuple[bytes, FiniteSemiring]]:
     The automorphisms are the endomorphisms that are bijections.  So
     `one` is tried only at the least element of its orbit under Aut(add),
     and the stabiliser of `one` is the group of the leader search: each
-    leader is a class of its own."""
+    leader is a class of its own.  Its key, the order and then the `+` and
+    `*` rows with zero at 0 and one at 1 % order, spells the representative."""
     _check_orders((order,), max_order)
-    if order == 1:
-        S = make_semiring(((0,),), ((0,),), 0, 0, ("0",))
-        return [(canonical_form(S), S)]
     found: dict[bytes, FiniteSemiring] = {}
     labels = _GENERIC_LABELS[:order]
     identity = tuple(range(order))
-    for add in _monoid_leaders(order):  # the catalog is sorted at the end
+    for add in enumerate_commutative_monoids(order):
         sums = _sum_index(add, order)
         ends = _endomorphisms(add, order, sums)
         aut = [f for f in ends if len(set(f)) == order and f != identity]
-        for one in range(1, order):
+        for one in range(1 % order, order):
             if any(p[one] < one for p in aut):
                 continue
             stabiliser = [p for p in aut if p[one] == one]
             for mul in _complete_mul_tables(add, order, one, stabiliser, ends,
                                             sums):
-                S = make_semiring(add, mul, 0, one, None)
-                key, perm = _canonical_search(S)
+                key = canonical_form(make_semiring(add, mul, 0, one, None))
                 if key in found:
                     raise InternalCheckError(
                         "two leaders of the census share a canonical key")
-                found[key] = _relabeled(S, perm, labels)
+                rows = [tuple(key[i:i + order])
+                        for i in range(1, len(key), order)]
+                found[key] = FiniteSemiring(
+                    order=order, add=tuple(rows[:order]),
+                    mul=tuple(rows[order:]), zero=0, one=1 % order,
+                    labels=labels)
     return sorted(found.items())
 
 

@@ -549,15 +549,11 @@ def make_semiring(add, mul, zero: int, one: int,
 def reindex(S: FiniteSemiring, perm: Iterable[int]) -> FiniteSemiring:
     """Relabel S along perm (perm[old] = new index); an isomorphic copy.
     The copy is a new semiring: its classes and invariant vectors are
-    computed from its own tables when first asked for."""
-    return _relabeled(S, perm, None)
-
-
-def _relabeled(S: FiniteSemiring, perm: Iterable[int],
-               labels: tuple[str, ...] | None) -> FiniteSemiring:
-    """`reindex`, with `labels` for the copy (None: S's labels, moved)."""
+    computed from its own tables when first asked for.  Entries must be
+    ints (a bool is not one)."""
     perm = tuple(perm)
-    if sorted(perm) != list(S.elements):
+    if (any(not isinstance(p, int) or isinstance(p, bool) for p in perm)
+            or sorted(perm) != list(S.elements)):
         raise DomainError("perm must be a permutation of the carrier")
     inv = [0] * S.order
     for old, new in enumerate(perm):
@@ -565,10 +561,9 @@ def _relabeled(S: FiniteSemiring, perm: Iterable[int],
     add, mul = (tuple(tuple([perm[row[j]] for j in inv])
                       for row in [table[i] for i in inv])
                 for table in (S.add, S.mul))
-    if labels is None:
-        labels = tuple([S.labels[i] for i in inv])
     return FiniteSemiring(order=S.order, add=add, mul=mul,
-                          zero=perm[S.zero], one=perm[S.one], labels=labels)
+                          zero=perm[S.zero], one=perm[S.one],
+                          labels=tuple([S.labels[i] for i in inv]))
 
 
 def tabulate(elements, plus, times, zero, one, label) -> FiniteSemiring:

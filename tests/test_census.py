@@ -30,6 +30,7 @@ from semirings import (
 from semirings.cli import run
 from semirings.census import (
     SCAN_FLAGS,
+    _GENERIC_LABELS,
     _canonical_search,
     _catalog,
     _cell_holds,
@@ -439,6 +440,20 @@ def test_monoid_stage_relabeling_matches_brute_force(n):
                 relabeled[perm[a]][perm[b]] = perm[table[a][b]]
         args = ((relabeled,), n, {0: 0}, [list(range(1, n))])
         assert _least_relabeling(*args) == least_relabeling_brute(*args)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_census_leaders_are_their_own_normal_forms(n):
+    monoids = enumerate_commutative_monoids(n)
+    for table in monoids:
+        key, _ = least_relabeling_brute((table,), n, {0: 0},
+                                        [list(range(1, n))])
+        assert key == bytes([n, *(v for row in table for v in row)])
+    assert all(a < b for a, b in zip(monoids, monoids[1:]))
+    for key, S in _catalog(n, n):
+        cells = [v for table in (S.add, S.mul) for row in table for v in row]
+        assert key == bytes([n, *cells])
+        assert (S.zero, S.one, S.labels) == (0, 1 % n, _GENERIC_LABELS[:n])
 
 
 def test_least_relabeling_matches_brute_force_on_random_tables():

@@ -602,3 +602,9 @@ def test_reindex_is_isomorphic_copy(z2x):
     assert axiom_sweep(T) == []
     assert T.labels[perm[0]] == z2x.labels[0]
     assert T.zero == perm[z2x.zero] and T.one == perm[z2x.one]
+
+
+@pytest.mark.parametrize("perm", ([0.0, 1.0], [True, False], [1, False]))
+def test_reindex_refuses_entries_that_are_not_ints(perm):
+    with pytest.raises(DomainError, match="permutation"):
+        reindex(zmod(2), perm)
