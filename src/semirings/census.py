@@ -28,11 +28,11 @@ relabeling fixing zero at 0 and one at 1 within invariant-vector blocks,
 found by one branch and bound, `_least_relabeling`, that builds the key
 cell by cell and prunes every partial relabeling whose prefix is already
 larger, so it reaches the same key, and on ties the same permutation, as
-trying every relabeling would.  The key sorts the output and spells the
-representative; two leaders with one key would be a defect, and raise
-InternalCheckError.  The key needs only the invariant vectors, so
-building the catalog classifies nothing; a scan classifies each
-representative from its own tables.  The monoids need no keys.
+trying every relabeling would.  The catalog is the sorted keys alone;
+two leaders with one key would be a defect, and raise InternalCheckError.
+A key needs only the invariant vectors, so building the catalog
+classifies nothing.  Each key spells its class's representative, and a
+scan builds, classifies and drops them one at a time.
 
 A scan judges each theorem with `ops.check_theorem` and reads the entry
 flags off the same clause checks, which `ops.check_clause` evaluates once
@@ -445,11 +445,6 @@ def _check_orders(orders, max_order) -> None:
             raise DomainError(f"order {order} above configured maximum {max_order}")
 
 
-def _relabelings(n: int) -> list[tuple[int, ...]]:
-    """The permutations of {0..n-1} that fix 0, other than the identity."""
-    return [(0, *p) for p in itertools.permutations(range(1, n))][1:]
-
-
 def enumerate_commutative_monoids(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """Commutative monoid tables on {0..n-1} with identity 0, one table per
     isomorphism class (isomorphisms fix 0): the leaders under every
@@ -465,7 +460,9 @@ def enumerate_commutative_monoids(n: int) -> list[tuple[tuple[int, ...], ...]]:
         table[0][a] = table[a][0] = a
     cells = [((i, j), (j, i)) if i < j else ((i, i),)
              for i in range(1, n) for j in range(i, n)]
-    return list(_completions(table, cells, n, _relabelings(n)))
+    # the relabelings that fix 0, less the identity, which comes first
+    group = [(0, *p) for p in itertools.permutations(range(1, n))][1:]
+    return list(_completions(table, cells, n, group))
 
 
 def _endomorphisms(add, n: int, sums) -> list[tuple[int, ...]]:
@@ -552,9 +549,8 @@ def _complete_mul_tables(add, n: int, one: int, group=(), ends=None,
                             group, roots, add, sums)
 
 
-def _catalog(order: int, max_order: int) -> list[tuple[bytes, FiniteSemiring]]:
-    """(canonical key, canonical representative) for each isomorphism
-    class of the given order, sorted by key.
+def _catalog(order: int, max_order: int) -> list[bytes]:
+    """The sorted canonical keys of the isomorphism classes of the order.
 
     An isomorphism between two semirings with zero 0 takes one addition
     table to the other, so it joins only semirings over the same monoid
@@ -562,11 +558,9 @@ def _catalog(order: int, max_order: int) -> list[tuple[bytes, FiniteSemiring]]:
     The automorphisms are the endomorphisms that are bijections.  So
     `one` is tried only at the least element of its orbit under Aut(add),
     and the stabiliser of `one` is the group of the leader search: each
-    leader is a class of its own.  Its key, the order and then the `+` and
-    `*` rows with zero at 0 and one at 1 % order, spells the representative."""
+    leader is a class of its own."""
     _check_orders((order,), max_order)
-    found: dict[bytes, FiniteSemiring] = {}
-    labels = _GENERIC_LABELS[:order]
+    found: set[bytes] = set()
     identity = tuple(range(order))
     for add in enumerate_commutative_monoids(order):
         sums = _sum_index(add, order)
@@ -582,20 +576,24 @@ def _catalog(order: int, max_order: int) -> list[tuple[bytes, FiniteSemiring]]:
                 if key in found:
                     raise InternalCheckError(
                         "two leaders of the census share a canonical key")
-                rows = [tuple(key[i:i + order])
-                        for i in range(1, len(key), order)]
-                found[key] = FiniteSemiring(
-                    order=order, add=tuple(rows[:order]),
-                    mul=tuple(rows[order:]), zero=0, one=1 % order,
-                    labels=labels)
-    return sorted(found.items())
+                found.add(key)
+    return sorted(found)
+
+
+def _representative(key: bytes) -> FiniteSemiring:
+    """The catalog semiring that a canonical key spells: its `+` and `*`
+    rows, zero at 0, one at 1 % order and generic labels."""
+    n = key[0]
+    rows = [tuple(key[i:i + n]) for i in range(1, len(key), n)]
+    return FiniteSemiring(order=n, add=tuple(rows[:n]), mul=tuple(rows[n:]),
+                          zero=0, one=1 % n, labels=_GENERIC_LABELS[:n])
 
 
 def enumerate_semirings(order: int,
                         max_order: int = DEFAULT_MAX_ORDER) -> list[FiniteSemiring]:
     """All semirings of the given order up to isomorphism, as canonical
     representatives sorted by canonical key."""
-    return [S for _, S in _catalog(order, max_order)]
+    return [_representative(key) for key in _catalog(order, max_order)]
 
 
 SCAN_FLAGS = tuple(flag for flag, _ in CLAUSES.values())
@@ -631,29 +629,30 @@ def scan(orders, theorem_ids=THEOREM_IDS, include_trivial: bool = False,
     (semiring, theorem) pair whose hypotheses hold but whose conclusions
     fail.  Orders must be distinct integers."""
     orders = tuple(orders)
+    theorem_ids = tuple(theorem_ids)
     _check_orders(orders, max_order)
     if len(set(orders)) != len(orders):
         raise DomainError(f"orders must be distinct, not {list(orders)}")
     for theorem in theorem_ids:
         if theorem not in THEOREM_IDS:
             raise DomainError(f"unknown theorem id {theorem!r}")
-    catalog: list[tuple[bytes, FiniteSemiring]] = []
+    keys: list[bytes] = []
     counts: dict[int, int] = {}
     for order in orders:
         batch = _catalog(order, max_order)
         if not include_trivial:
-            batch = [(key, S) for key, S in batch if S.order > 1]
+            batch = [key for key in batch if key[0] > 1]
         counts[order] = len(batch)
-        catalog.extend(batch)
+        keys.extend(batch)
 
-    results = [_scan_entry(key.hex(), S, theorem_ids) for key, S in catalog]
-    entries = tuple(entry for entry, _ in results)
-    violations = [v for _, batch in results for v in batch]
-    tallies: dict[str, dict[str, int]] = {}
-    for theorem in theorem_ids:
-        tally = {"confirmed": 0, "vacuous": 0, "VIOLATION": 0}
-        for entry in entries:
-            tally[entry.verdicts[theorem]] += 1
-        tallies[theorem] = tally
-    return ScanReport(orders=orders, counts=counts, entries=entries,
+    tallies = {theorem: {"confirmed": 0, "vacuous": 0, "VIOLATION": 0}
+               for theorem in theorem_ids}
+    entries, violations = [], []
+    for key in keys:  # one representative alive at a time
+        entry, found = _scan_entry(key.hex(), _representative(key), theorem_ids)
+        entries.append(entry)
+        violations.extend(found)
+        for theorem, verdict in entry.verdicts.items():
+            tallies[theorem][verdict] += 1
+    return ScanReport(orders=orders, counts=counts, entries=tuple(entries),
                       tallies=tallies, violations=tuple(violations))

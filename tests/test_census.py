@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -201,21 +202,21 @@ def _labelled_semiring_count(n):
                for _ in _complete_mul_tables(add, n, one))
 
 
-@pytest.mark.parametrize("n, labelled", ((2, 2), (3, 12), (4, 231)))
+@pytest.mark.parametrize("n, labelled", ((2, 2), (3, 12), (4, 231), (5, 6876)))
 def test_catalog_passes_the_orbit_count(n, labelled):
     # Each class S has (n-1)!/|Aut(S)| copies with zero at 0, so a class
     # merged with another or split in two would break the sum.
     copies = sum(math.factorial(n - 1)
                  // len(automorphisms_brute((S.add, S.mul), n))
-                 for S in enumerate_semirings(n))
+                 for S in enumerate_semirings(n, n))
     assert copies == _labelled_semiring_count(n) == labelled
 
 
 def test_order_five_catalog_is_pinned():
     # Recorded when every labelled table was built and deduplicated.
-    catalog = _catalog(5, 5)
-    assert len(catalog) == 295
-    assert hashlib.sha256(b"".join(key for key, _ in catalog)).hexdigest() == \
+    keys = _catalog(5, 5)
+    assert len(keys) == 295
+    assert hashlib.sha256(b"".join(keys)).hexdigest() == \
         "0da552b5cf2e51a70aa12faea6db2d51c9c95de1749b8d110015298ab714936d"
 
 
@@ -450,7 +451,9 @@ def test_census_leaders_are_their_own_normal_forms(n):
                                         [list(range(1, n))])
         assert key == bytes([n, *(v for row in table for v in row)])
     assert all(a < b for a, b in zip(monoids, monoids[1:]))
-    for key, S in _catalog(n, n):
+    keys = _catalog(n, n)
+    assert all(type(key) is bytes for key in keys) and keys == sorted(keys)
+    for key, S in zip(keys, enumerate_semirings(n, n), strict=True):
         cells = [v for table in (S.add, S.mul) for row in table for v in row]
         assert key == bytes([n, *cells])
         assert (S.zero, S.one, S.labels) == (0, 1 % n, _GENERIC_LABELS[:n])
@@ -630,6 +633,31 @@ def test_scan_lists_every_violation(monkeypatch):
 def test_scan_rejects_bad_orders(orders, message):
     with pytest.raises(DomainError, match=message):
         scan(orders)
+
+
+def test_scan_reads_a_one_shot_theorem_iterable():
+    # theorem ids are read more than once, so a generator must give the
+    # same report as a list rather than a scan that checks nothing
+    report = scan([2, 3], (t for t in ["main"]))
+    assert report == scan([2, 3], ["main"])
+    assert report.tallies["main"]["confirmed"] > 0
+
+
+def test_scan_holds_one_representative_at_a_time(monkeypatch):
+    import semirings.census as census
+
+    spell = census._representative
+    built = []
+
+    def tracked(key):
+        assert all(ref() is None for ref in built), "an earlier one is alive"
+        S = spell(key)
+        built.append(weakref.ref(S))
+        return S
+
+    monkeypatch.setattr(census, "_representative", tracked)
+    report = scan([2, 3, 4])
+    assert len(built) == len(report.entries) == 2 + 6 + 40
 
 
 def test_scan_rejects_unknown_theorem():
