@@ -550,7 +550,7 @@ def _complete_mul_tables(add, n: int, one: int, group=(), ends=None,
 
 
 def _catalog(order: int, max_order: int) -> list[bytes]:
-    """The sorted canonical keys of the isomorphism classes of the order.
+    """The sorted canonical keys of the isomorphism classes of this order.
 
     An isomorphism between two semirings with zero 0 takes one addition
     table to the other, so it joins only semirings over the same monoid
@@ -649,9 +649,9 @@ def scan(orders, theorem_ids=THEOREM_IDS, include_trivial: bool = False,
                for theorem in theorem_ids}
     entries, violations = [], []
     for key in keys:  # one representative alive at a time
-        entry, found = _scan_entry(key.hex(), _representative(key), theorem_ids)
+        entry, hits = _scan_entry(key.hex(), _representative(key), theorem_ids)
         entries.append(entry)
-        violations.extend(found)
+        violations.extend(hits)
         for theorem, verdict in entry.verdicts.items():
             tallies[theorem][verdict] += 1
     return ScanReport(orders=orders, counts=counts, entries=tuple(entries),
