@@ -3,9 +3,7 @@ polynomial quotients, matrix and triangular semirings, direct products."""
 
 from __future__ import annotations
 
-import re
-
-from .core import DomainError, FiniteSemiring, tabulate
+from .core import DomainError, FiniteSemiring, ascii_int, tabulate
 
 DEFAULT_MAX_ELEMENTS = 4096
 
@@ -160,14 +158,6 @@ def direct_product(S: FiniteSemiring, T: FiniteSemiring) -> FiniteSemiring:
         lambda p: f"({S.labels[p[0]]},{T.labels[p[1]]})")
 
 
-def _preset_int(text: str) -> int:
-    """An integer field of a preset, spelled -?[0-9]+ in ASCII; int()
-    alone would also take "+3", " 7", "5_0" and non-ASCII digits."""
-    if re.fullmatch(r"-?[0-9]+", text) is None:
-        raise ValueError(text)
-    return int(text)
-
-
 def from_preset(name: str):
     """Resolve a preset name to a FiniteSemiring or a symbolic model.
 
@@ -205,7 +195,7 @@ def from_preset(name: str):
         return nn_triple_model()
     if name.startswith("zmod:"):
         try:
-            n = _preset_int(name.split(":", 1)[1])
+            n = ascii_int(name.split(":", 1)[1])
         except ValueError:
             raise DomainError(f"malformed preset {name!r}") from None
         return zmod(n)
@@ -221,7 +211,7 @@ def from_preset(name: str):
         kind, rest = name.split(":", 1)
         try:
             base_name, dim = rest.rsplit(",", 1)
-            n = _preset_int(dim)
+            n = ascii_int(dim)
         except ValueError:
             raise DomainError(f"malformed preset {name!r}") from None
         base = _finite_preset(base_name)

@@ -280,15 +280,14 @@ _SWEEP_BELOW = 8
 def validate(add, mul, zero: int, one: int) -> AxiomReport:
     """Check every semiring axiom, listing all violated instances.
 
-    From order 8 on, a fast path checks the identity, annihilation and
-    additive commutativity laws in full, and the associative and
-    distributive laws only at the elements of a generating set, in
-    O(n^2 |G|) steps instead of O(n^3); that is a proof that the tables are
-    a semiring, not a sample (see `_generated_laws_hold`).  If any of its
-    checks fails, and always on smaller carriers, `_sweep` lists every
-    violated instance in the order of the plain O(n^3) loops; from order 8
-    on it first screens each law by whole rows and loops over c only where
-    a screen fails.  Either way the report is the same.
+    One row screen, `_breaks`, names the (a, b) at which some c breaks an
+    associative or distributive law.  From order 8 on, it runs at the
+    elements of a generating set, in O(n^2 |G|) steps instead of O(n^3):
+    passing there is a proof that the tables are a semiring (see
+    `_generated_laws_hold`).  Otherwise, and always on smaller carriers,
+    `_sweep` lists every violated instance in the order of the plain
+    O(n^3) loops, running the screen at every element from order 8 on and
+    the loop over c only at the (a, b) it names.
 
     Structural problems (non-square tables, out-of-range entries) raise
     MalformedTableError instead of being reported as axiom violations.
@@ -359,59 +358,13 @@ def _rows(table, n: int):
     return rows, rows, [itemgetter(*row) for row in rows]
 
 
-def _generated_laws_hold(add, mul, zero: int, one: int, n: int) -> bool:
-    """True only if the tables form a semiring; False means "sweep".
-
-    Call g good for a law if it holds at g for all x, y.  Good sets are
-    closed under the operation (Light's test): if g, h are good for
-    (xg)y = x(gy), then (x(gh))y = ((xg)h)y = (xg)(hy) = x(g(hy)) = x((gh)y),
-    and likewise for +.  Given associativity, g, h good for g(x+y) = gx+gy
-    give (gh)(x+y) = g(hx+hy) = (gh)x+(gh)y, and the same on the right.  A
-    closed set holding a generating set is the whole carrier.  Each law is
-    checked as rows over y, composed by `_rows`.
-    """
-    add_zero, mul_zero, mul_one = add[zero], mul[zero], mul[one]
-    for a in range(n):
-        if (add_zero[a] != a or add[a][zero] != a or mul_one[a] != a
-                or mul[a][one] != a or mul_zero[a] != zero or mul[a][zero] != zero):
-            return False
-    add, add_data, at_add = _rows(add, n)
-    if any(tuple(row) != col for row, col in zip(add, zip(*add))):
-        return False
-    for g in _generators(add, (zero,), n):
-        # (x+g)+y = x+(g+y)
-        if any(add[ax[g]] != at_add[g](dx) for ax, dx in zip(add, add_data)):
-            return False
-    mul, mul_data, at_mul = _rows(mul, n)
-    gens = _generators(mul, (zero, one), n)
-    for g in gens:
-        # (xg)y = x(gy)
-        if any(mul[mx[g]] != at_mul[g](dx) for mx, dx in zip(mul, mul_data)):
-            return False
-    # column g of *, for each generator g
-    cols = _rows([[row[g] for row in mul] for g in gens], n)
-    sides = list(zip(gens, *cols))
-    for x, at_x in enumerate(at_add):
-        for g, col, col_data, at_col in sides:
-            # g(x+y) = gx+gy and (x+y)g = xg+yg
-            if (at_x(mul_data[g]) != at_mul[g](add_data[mul[g][x]])
-                    or at_x(col_data) != at_col(add_data[col[x]])):
-                return False
-    return True
-
-
-def _sweep(add, mul, zero: int, one: int, n: int) -> list[AxiomViolation]:
-    """Every violated axiom instance, in the order of direct O(n^3) loops.
-
-    The loop over b for commutativity runs only on a row of + that differs
-    from its column.  The loop over c runs for each (a, b) below order
-    `_SWEEP_BELOW`, and from there on only for the (a, b) that `_suspects`
-    keeps; every other (a, b) holds all four laws for every c, so the list
-    is the same.
-    """
+def _short_violations(add, mul, zero: int, one: int, n: int) -> list:
+    """The violated instances of the laws in one or two elements, in the
+    order of plain loops: the identity and annihilation laws at each a,
+    then additive commutativity at each (a, b).  The loop over b runs only
+    on a row of + that differs from its column."""
     rng = range(n)
     bad: list[AxiomViolation] = []
-
     for a in rng:
         if add[zero][a] != a or add[a][zero] != a:
             bad.append(AxiomViolation("add-identity", (a, 0, 0)))
@@ -425,7 +378,72 @@ def _sweep(add, mul, zero: int, one: int, n: int) -> list[AxiomViolation]:
         if tuple(row) != col:
             bad.extend(AxiomViolation("add-commutativity", (a, b, 0))
                        for b in rng if row[b] != col[b])
-    suspects = [rng] * n if n < _SWEEP_BELOW else _suspects(add, mul, n)
+    return bad
+
+
+def _breaks(add, mul, n: int, add_at, mul_at):
+    """The (a, b), perhaps repeated, at which some c breaks a law:
+    (a+b)+c = a+(b+c) for b in `add_at`, (ab)c = a(bc) for b in `mul_at`,
+    a(b+c) = ab+ac for a in `mul_at`, and (a+b)c = ac+bc for c in `mul_at`.
+    Each side is a row composed by `_rows`: over c for the first three
+    laws, in one loop, and over b, from the columns of *, for the last.
+    Lazy, so a caller can stop at the first break."""
+    add, add_data, at_add = _rows(add, n)
+    mul, mul_data, at_mul = _rows(mul, n)
+    add_at, mul_at = set(add_at), set(mul_at)
+    rows = list(zip(range(n), add, add_data, mul, mul_data, at_add))
+    for k in sorted(add_at.union(mul_at)):
+        k_add, k_mul = k in add_at, k in mul_at
+        at_ak, at_mk, mul_k, mk_data = at_add[k], at_mul[k], mul[k], mul_data[k]
+        for x, add_x, ax_data, mul_x, mx_data, at_ax in rows:
+            # (x+k)+c = x+(k+c) and (xk)c = x(kc)
+            if (k_add and add[add_x[k]] != at_ak(ax_data)
+                    or k_mul and mul[mul_x[k]] != at_mk(mx_data)):
+                yield x, k
+            # k(x+c) = kx+kc
+            if k_mul and at_ax(mk_data) != at_mk(add_data[mul_k[x]]):
+                yield k, x
+    cols = _rows((map(itemgetter(c), mul) for c in mul_at), n)
+    for col, col_data, at_col in zip(*cols):
+        for a, (at_a, col_a) in enumerate(zip(at_add, col)):
+            left, right = at_a(col_data), at_col(add_data[col_a])
+            if left != right:
+                yield from ((a, b) for b in range(n) if left[b] != right[b])
+
+
+def _generated_laws_hold(add, mul, zero: int, one: int, n: int) -> bool:
+    """True only if the tables form a semiring; False means "sweep".
+
+    Call g good for a law if it holds at g for all x, y.  Good sets are
+    closed under the operation (Light's test): if g, h are good for
+    (xg)y = x(gy), then (x(gh))y = ((xg)h)y = (xg)(hy) = x(g(hy)) = x((gh)y),
+    and likewise for +.  Given associativity, g, h good for g(x+y) = gx+gy
+    give (gh)(x+y) = g(hx+hy) = (gh)x+(gh)y, and the same on the right.  A
+    closed set holding a generating set is the whole carrier.  So the laws
+    in one or two elements are checked in full, then `_breaks` runs at the
+    generators of + and of * up to its first break.
+    """
+    return (not _short_violations(add, mul, zero, one, n)
+            and next(_breaks(add, mul, n, _generators(add, (zero,), n),
+                             _generators(mul, (zero, one), n)), None) is None)
+
+
+def _sweep(add, mul, zero: int, one: int, n: int) -> list[AxiomViolation]:
+    """Every violated axiom instance, in the order of direct O(n^3) loops.
+
+    The loop over c runs for each (a, b) below order `_SWEEP_BELOW`, and
+    from there on only at the (a, b) that `_breaks` names when run at every
+    element, as every other (a, b) holds all four laws for every c.
+    """
+    rng = range(n)
+    bad = _short_violations(add, mul, zero, one, n)
+    if n < _SWEEP_BELOW:
+        suspects = [rng] * n
+    else:
+        suspects = [set() for _ in rng]
+        for a, b in _breaks(add, mul, n, rng, rng):
+            suspects[a].add(b)
+        suspects = list(map(sorted, suspects))
     for a in rng:
         adda, mula = add[a], mul[a]
         for b in suspects[a]:
@@ -443,34 +461,6 @@ def _sweep(add, mul, zero: int, one: int, n: int) -> list[AxiomViolation]:
                 if mul_aab[c] != add[mula[c]][mulb[c]]:
                     bad.append(AxiomViolation("right-distributivity", (a, b, c)))
     return bad
-
-
-def _suspects(add, mul, n: int) -> list[list[int]]:
-    """For each a, the b, in order, at which some c breaks associativity
-    or distributivity, found by comparing whole rows composed by `_rows`.
-
-    The rows of + and * give the three laws for each (a, b) as rows over
-    c, and the columns of * give right distributivity, (a+b)c = ac + bc,
-    for each (a, c) as rows over b.
-    """
-    add, add_data, at_add = _rows(add, n)
-    mul, mul_data, at_mul = _rows(mul, n)
-    cols, col_data, at_col = _rows(zip(*mul), n)
-    suspects: list[set[int]] = [set() for _ in range(n)]
-    for col, dcol, at_c in zip(cols, col_data, at_col):
-        for a, at_a in enumerate(at_add):
-            left, right = at_a(dcol), at_c(add_data[col[a]])
-            if left != right:
-                suspects[a].update(b for b in range(n) if left[b] != right[b])
-    for a, bad in enumerate(suspects):
-        adda, mula, da, dm, at_ma = (add[a], mul[a], add_data[a], mul_data[a],
-                                     at_mul[a])
-        for b, (at_b, at_mb) in enumerate(zip(at_add, at_mul)):
-            # (a+b)+c = a+(b+c), (ab)c = a(bc) and a(b+c) = ab+ac
-            if (add[adda[b]] != at_b(da) or mul[mula[b]] != at_mb(dm)
-                    or at_b(dm) != at_ma(add_data[mula[b]])):
-                bad.add(b)
-    return [sorted(bad) for bad in suspects]
 
 
 _CLOSERS = {"(": ")", "[": "]"}
@@ -503,6 +493,14 @@ def token_end(text: str, start: int) -> int:
     if pending:
         raise ValueError(pending[-1])
     return len(text)
+
+
+def ascii_int(text: str) -> int:
+    """An integer spelled -?[0-9]+ in ASCII, in a preset or a semiring file;
+    int() alone would also take "+3", " 7", "5_0" and non-ASCII digits."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise ValueError(text)
+    return int(text)
 
 
 def _is_plain_label(label) -> bool:

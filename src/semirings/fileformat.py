@@ -22,6 +22,7 @@ from .core import (
     FiniteSemiring,
     InvalidSemiringError,
     SemiringError,
+    ascii_int,
     make_semiring,
     token_end,
 )
@@ -127,7 +128,7 @@ def parse_semiring_tables(text: str):
     if len(toks) != 2 or toks[0] != "order":
         raise ParseError(line.lineno, line.col(), "expected 'order N'")
     try:
-        order = int(toks[1])
+        order = ascii_int(toks[1])
     except ValueError:
         raise ParseError(line.lineno, line.col(1),
                          f"bad order {toks[1]!r}") from None

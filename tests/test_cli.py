@@ -126,6 +126,10 @@ def _boolean_file_with(line: int, text: str) -> str:
     (1, "size 2", (1, 1)),
     (1, "order two", (1, 7)),
     (1, "order 0", (1, 7)),
+    # `int` reads each of these as 2; an order is -?[0-9]+ in ASCII
+    (1, "order +2", (1, 7)),
+    (1, "order 0_2", (1, 7)),
+    (1, "order \u0662", (1, 7)),
     (2, "  labels 0 1", (2, 3)),
     (2, "elements 0 1 2", (2, 1)),
     (3, "zero 0 1", (3, 1)),
@@ -134,6 +138,7 @@ def _boolean_file_with(line: int, text: str) -> str:
     (8, "mull", (8, 1)),
     (11, "  extra", (11, 3)),
 ], ids=["order-line", "order-not-integer", "order-not-positive",
+        "order-plus-sign", "order-underscore", "order-non-ascii-digit",
         "elements-missing", "label-count", "zero-line", "one-line",
         "add-keyword", "mul-keyword", "trailing-content"])
 def test_structure_errors_are_positioned(line, text, position):

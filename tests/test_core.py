@@ -195,6 +195,10 @@ BUILD_PRESETS = {name: from_preset(name) for name in (
     "product:t2b,zmod:4", "product:m2z2,bool", "triangular:zmod:3,2")}
 
 
+FOUR_LAWS = ("add-associativity", "mul-associativity", "left-distributivity",
+             "right-distributivity")
+
+
 @pytest.mark.parametrize("cells", [1, 2, 3])
 @pytest.mark.parametrize("name", BUILD_PRESETS)
 def test_screened_sweep_matches_the_oracle(name, cells):
@@ -210,6 +214,12 @@ def test_screened_sweep_matches_the_oracle(name, cells):
     want = axiom_violations(add, mul, S.zero, S.one)
     assert want  # each seeded change here breaks a law
     assert _as_pairs(validate(add, mul, S.zero, S.one)) == want
+    # the screen at every element names exactly the (a, b) of the broken
+    # associative and distributive instances, so the loop over c runs
+    # nowhere else
+    rng = range(S.order)
+    assert set(core._breaks(add, mul, S.order, rng, rng)) == {
+        (a, b) for law, (a, b, c) in want if law in FOUR_LAWS}
 
 
 @pytest.mark.parametrize("name", BUILD_PRESETS)
@@ -306,13 +316,13 @@ def test_tables_breaking_one_law_are_swept(tables, axiom):
 
 
 def test_valid_tables_take_the_fast_path(monkeypatch):
-    tables = [from_preset(name) for name in ("zmod:128", "matrix:zmod:3,2")]
-
+    # a false alarm of the screen at the generators would send a valid
+    # table to the full sweep
     def no_sweep(*args):
         raise AssertionError("the full sweep ran")
 
     monkeypatch.setattr(core, "_sweep", no_sweep)
-    for S in tables:
+    for S in BUILD_PRESETS.values():
         assert validate(S.add, S.mul, S.zero, S.one) == AxiomReport(True, ())
 
 
