@@ -24,11 +24,12 @@ depends only on the addition (the sum index, the endomorphisms and the
 automorphisms among them) is built once per monoid.
 
 Each class is named by a canonical key, the lexicographically least
-relabeling fixing zero at 0 and one at 1 within invariant-vector blocks,
-found by one branch and bound, `_least_relabeling`, that builds the key
-cell by cell and prunes every partial relabeling whose prefix is already
-larger, so it reaches the same key, and on ties the same permutation, as
-trying every relabeling would.  The catalog is the sorted keys alone;
+relabeling within the invariant-vector blocks of `FiniteSemiring._blocks`,
+where zero and one lead alone and so stay at 0 and 1, found by one branch
+and bound, `_least_relabeling`, that builds the key cell by cell and
+prunes every partial relabeling whose prefix is already larger, so it
+reaches the same key, and on ties the same permutation, as trying every
+relabeling would.  The catalog is the sorted keys alone;
 two leaders with one key would be a defect, and raise InternalCheckError.
 A key needs only the invariant vectors, so building the catalog
 classifies nothing.  Each key spells its class's representative, and a
@@ -59,7 +60,6 @@ from .ops import (
     VERDICT_VIOLATION,
     check_clause,
     check_theorem,
-    invariant_vectors,
 )
 
 _GENERIC_LABELS = ("0", "1", "a", "b", "c", "d", "e", "f")
@@ -82,37 +82,32 @@ class ScanReport:
     violations: tuple[dict, ...]
 
 
-def _least_relabeling(tables, n: int, pinned: dict[int, int],
+def _least_relabeling(tables, n: int,
                       blocks: list[list[int]]) -> tuple[bytes, list[int]]:
-    """Least flattened relabeling of tables over the bijections that keep
-    each pinned element at its given index and send the blocks, in order,
-    onto the consecutive indices after the pinned ones.  Among the
+    """Least flattened relabeling of tables over the bijections that send
+    the blocks, in order, onto consecutive indices from 0.  Among the
     bijections that reach the least key, the one returned has the least
     tuple of positions within the blocks, label by label, which is the
     first one in `itertools.product` order over the block permutations.
 
     Branch and bound: the key `[n] + cells`, table by table and row by
     row, is built cell by cell under a partial bijection `perm` (old to
-    new) and `inv` (new to old), with the pinned elements and the blocks
-    of one element set from the start.  A cell that needs an unlabeled
-    row or column label branches on the free elements of that label's
-    block, unless two or more are free and all give the cell the same
-    value; a cell whose value has no label yet branches on the free
-    labels of its block in ascending order.  Once every label is set, the
-    key is read off whole rows at a time.  While the prefix equals the
-    best key's prefix, a larger cell prunes the subtree.  A value that
-    every free element gives stays the cell's value under every
-    completion, because labels are only ever added.
+    new) and `inv` (new to old), with the blocks of one element set from
+    the start.  A cell that needs an unlabeled row or column label
+    branches on the free elements of that label's block, unless two or
+    more are free and all give the cell the same value; a cell whose value
+    has no label yet branches on the free labels of its block in ascending
+    order.  Once every label is set, the key is read off whole rows at a
+    time.  While the prefix equals the best key's prefix, a larger cell
+    prunes the subtree.  A value that every free element gives stays the
+    cell's value under every completion, as labels are only ever added.
     """
     perm = [-1] * n
     inv = [-1] * n
-    for e, p in pinned.items():
-        perm[e] = p
-        inv[p] = e
     owner: list[list[int]] = [[]] * n  # label -> its block
     span = [(0, 0)] * n  # element -> its block's labels
     rank = [0] * n  # element -> position in its block
-    p = len(pinned)
+    p = 0
     for block in blocks:
         if len(block) == 1:
             perm[block[0]], inv[p] = p, block[0]
@@ -210,22 +205,15 @@ def _least_relabeling(tables, n: int, pinned: dict[int, int],
 def _canonical_search(S: FiniteSemiring) -> tuple[bytes, list[int]]:
     if S.order > 255:  # a key holds the order and each label in one byte
         raise DomainError(f"canonical keys need order at most 255, not {S.order}")
-    vecs = invariant_vectors(S)
-    pinned = {S.zero: 0}
-    if S.one != S.zero:
-        pinned[S.one] = 1
-    blocks: dict[tuple, list[int]] = {}
-    for e in S.elements:
-        if e not in pinned:
-            blocks.setdefault(vecs[e], []).append(e)
-    return _least_relabeling((S.add, S.mul), S.order, pinned,
-                             [blocks[v] for v in sorted(blocks)])
+    return _least_relabeling((S.add, S.mul), S.order,
+                             [block for _, block in S._blocks])
 
 
 def canonical_form(S: FiniteSemiring) -> bytes:
-    """Canonical key: least relabeled table pair over bijections fixing
-    zero at 0 and one at 1 and sending the invariant-vector blocks, in
-    sorted order of their vectors, onto consecutive labels.
+    """Canonical key: least relabeled table pair over bijections sending
+    the invariant-vector blocks onto consecutive labels: zero's block of
+    one element, then one's, then the others in sorted order of their
+    vectors.
 
     Keys of two validated semirings are equal iff the semirings are
     isomorphic: the candidate permutation set is itself an isomorphism

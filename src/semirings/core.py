@@ -214,6 +214,19 @@ class FiniteSemiring:
         return [vector for _, _, vector in _orbits(self)]
 
     @cached_property
+    def _blocks(self) -> list[tuple[tuple, list[int]]]:
+        """The invariant-vector blocks as (vector, elements in index order):
+        zero alone, then one alone unless S is trivial, then the others in
+        sorted order of their vectors.  Keys and isomorphisms search
+        within them."""
+        lead = dict.fromkeys((self.zero, self.one))
+        blocks: dict[tuple, list[int]] = {}
+        for e, vector in enumerate(self._vectors):
+            if e not in lead:
+                blocks.setdefault(vector, []).append(e)
+        return [(self._vectors[e], [e]) for e in lead] + sorted(blocks.items())
+
+    @cached_property
     def _clauses(self) -> dict:
         """Clause name -> its check, filled in by `ops.check_clause`."""
         return {}

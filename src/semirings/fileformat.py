@@ -147,6 +147,8 @@ def parse_semiring_tables(text: str):
     for k, tok in enumerate(labels, start=1):
         if tok in index:
             raise ParseError(line.lineno, line.col(k), f"duplicate label {tok!r}")
+        if tok.startswith("#"):  # as a row's first label, it starts a comment
+            raise ParseError(line.lineno, line.col(k), f"label {tok!r} starts with '#'")
         index[tok] = k - 1
 
     def indices(line: _Line, start: int = 0) -> list[int]:

@@ -26,7 +26,7 @@ from .core import (
     InternalCheckError,
     additive_inverse,
     element_classes,
-    invariant_vectors,
+    invariant_vectors,  # re-exported: `semirings.ops.invariant_vectors`
     is_nilpotent,
     nilpotency_index,
     noncommuting_pair,
@@ -420,53 +420,49 @@ def peirce_decompose(S: FiniteSemiring) -> PeirceResult:
 def isomorphic(S: FiniteSemiring, T: FiniteSemiring) -> tuple[int, ...] | None:
     """An isomorphism S -> T as the tuple of images, or None.
 
-    Zero goes to zero and one to one, as equal invariant-vector multisets
-    force: zero is the only element of nilpotency index 1, one the only
-    idempotent unit.  The other elements of S, by the size of their
-    invariant-vector block in T, ties by index, try the unused elements of
+    The invariant-vector blocks of S and T must agree in vector and size,
+    and each element of S maps into the matching block of T, so zero goes
+    to zero and one to one, each alone in its block.  The elements of S,
+    by the size of their block, ties by index, try the unused elements of
     that block in ascending order.  An image stays only if the sums and
-    products of its element with every mapped one, both ways round, map
-    consistently; a full map is returned only if it carries both tables,
-    else the search backtracks.  As no pruning drops an extendable prefix,
-    the witness is the isomorphism whose images of the non-pinned
-    elements, in that order, form the lexicographically least tuple.
+    products of its element with every mapped one map consistently; a
+    full map is returned only if it carries both tables, else the search
+    backtracks.  As no pruning drops an extendable prefix, the witness is
+    the isomorphism whose images, in that order, are lexicographically
+    least.
     """
-    if S.order != T.order:
+    if ([(v, len(b)) for v, b in S._blocks]
+            != [(v, len(b)) for v, b in T._blocks]):
         return None
-    vec_s, vec_t = invariant_vectors(S), invariant_vectors(T)
-    if sorted(vec_s) != sorted(vec_t):
-        return None
-    blocks: dict[tuple, list[int]] = {}
-    for b in T.elements:
-        blocks.setdefault(vec_t[b], []).append(b)
+    targets: list[list[int]] = [[]] * S.order  # element of S -> block of T
+    for (_, mine), (_, theirs) in zip(S._blocks, T._blocks):
+        for a in mine:
+            targets[a] = theirs
+    elements = sorted(S.elements, key=lambda a: len(targets[a]))
     mapping, inv = [-1] * S.order, [-1] * T.order  # S -> T, T -> S
-    for a, b in ((S.zero, T.zero), (S.one, T.one)):
-        mapping[a], inv[b] = b, a
-    pinned = sorted({S.zero, S.one})
-    free = sorted((a for a in S.elements if mapping[a] < 0),
-                  key=lambda a: len(blocks[vec_s[a]]))
-    tries: list = []  # the untried images of free[0], free[1], ...
+    tries: list = []  # the untried images of elements[0], elements[1], ...
 
     def fits(a: int, done: list[int]) -> bool:
         b = mapping[a]
         for u in done:
             v = mapping[u]
-            for s, t in ((S.add[a][u], T.add[b][v]), (S.add[u][a], T.add[v][b]),
-                         (S.mul[a][u], T.mul[b][v]), (S.mul[u][a], T.mul[v][b])):
+            # + is commutative, so one operand order checks each sum
+            for s, t in ((S.add[a][u], T.add[b][v]), (S.mul[a][u], T.mul[b][v]),
+                         (S.mul[u][a], T.mul[v][b])):
                 if mapping[s] != t and (mapping[s] >= 0 or inv[t] >= 0):
                     return False
         return True
 
     def advance(i: int) -> bool:
-        """Move free[i] to its next unused image that fits, if any."""
-        a = free[i]
+        """Move elements[i] to its next unused image that fits, if any."""
+        a = elements[i]
         if mapping[a] >= 0:
             inv[mapping[a]] = -1
             mapping[a] = -1
         for b in tries[i]:
             if inv[b] < 0:
                 mapping[a], inv[b] = b, a
-                if fits(a, pinned + free[:i + 1]):
+                if fits(a, elements[:i + 1]):
                     return True
                 mapping[a], inv[b] = -1, -1
         return False
@@ -479,8 +475,8 @@ def isomorphic(S: FiniteSemiring, T: FiniteSemiring) -> tuple[int, ...] | None:
 
     # Depth-first without recursion, so carriers of any size fit the stack.
     while True:
-        if len(tries) < len(free):
-            tries.append(iter(blocks[vec_s[free[len(tries)]]]))
+        if len(tries) < S.order:
+            tries.append(iter(targets[elements[len(tries)]]))
         elif carries():
             return tuple(mapping)
         while tries and not advance(len(tries) - 1):

@@ -232,6 +232,19 @@ def invariant_vectors_brute(S: FiniteSemiring) -> list[tuple]:
     return [_invariant_vector(S, a, classes) for a in S.elements]
 
 
+def invariant_blocks_brute(S: FiniteSemiring) -> list[tuple[tuple, list[int]]]:
+    """The invariant-vector blocks as (vector, elements in ascending
+    order): zero alone, then one alone unless S is trivial, then the other
+    elements grouped by their vectors from `invariant_vectors_brute`, in
+    sorted order of the vectors."""
+    vecs = invariant_vectors_brute(S)
+    first = [S.zero] if S.is_trivial else [S.zero, S.one]
+    rest = [e for e in S.elements if e not in first]
+    return [(vecs[e], [e]) for e in first] + [
+        (v, [e for e in rest if vecs[e] == v])
+        for v in sorted({vecs[e] for e in rest})]
+
+
 def isomorphism_brute(S: FiniteSemiring,
                       T: FiniteSemiring) -> tuple[int, ...] | None:
     """The isomorphism S -> T that `isomorphic` promises, or None: every
@@ -676,6 +689,84 @@ def brute_force_semiring_keys(n: int) -> set[bytes]:
             if validate(t, m, z, ones[0]).valid:
                 S = make_semiring(t, m, z, ones[0])
                 keys.add(canonical_search_brute(S)[0])
+    return keys
+
+
+def multiplication_first_keys(n: int) -> set[bytes]:
+    """Canonical keys of every semiring of order n with zero at 0 and one
+    at 1 % n, by a census that fixes the multiplication first.
+
+    Every associative `*` with 0 absorbing and identity 1 % n is built cell
+    by cell, then for each of them every commutative, associative `+` with
+    identity 0 that distributes over it on both sides.  A partial table
+    (-1 marks a free cell) is dropped as soon as a law instance all of
+    whose cells are set fails, found by a rescan of every instance.  No
+    relabeling is reduced away; keys come from `canonical_search_brute`.
+    """
+    one = 1 % n
+    rng = range(n)
+
+    def fills(t, cells, holds):
+        """Every way to give each group of positions in `cells` one value,
+        in order, with holds(t) after each; t itself is yielded."""
+        if not cells:
+            yield t
+            return
+        for v in rng:
+            for a, b in cells[0]:
+                t[a][b] = v
+            if holds(t):
+                yield from fills(t, cells[1:], holds)
+        for a, b in cells[0]:
+            t[a][b] = -1
+
+    def associative(t) -> bool:
+        for a in rng:
+            ta = t[a]
+            for b in rng:
+                ab, tb = ta[b], t[b]
+                if ab < 0:
+                    continue
+                for c in rng:
+                    bc = tb[c]
+                    if bc >= 0:
+                        x, y = t[ab][c], ta[bc]
+                        if x != y and x >= 0 and y >= 0:
+                            return False
+        return True
+
+    def distributive(add) -> bool:
+        for a in rng:
+            ma = mul[a]
+            for b in rng:
+                ab, ba = ma[b], mul[b][a]
+                for c in rng:
+                    s = add[b][c]
+                    if s < 0:
+                        continue
+                    x = add[ab][ma[c]]  # a(b+c) == ab + ac
+                    if x >= 0 and x != ma[s]:
+                        return False
+                    x = add[ba][mul[c][a]]  # (b+c)a == ba + ca
+                    if x >= 0 and x != mul[s][a]:
+                        return False
+        return True
+
+    mul = [[-1] * n for _ in rng]
+    for a in rng:
+        mul[0][a] = mul[a][0] = 0
+        mul[one][a] = mul[a][one] = a
+    add = [[-1] * n for _ in rng]
+    for a in rng:
+        add[0][a] = add[a][0] = a
+    mul_cells = [[(a, b)] for a in rng for b in rng if mul[a][b] < 0]
+    add_cells = [[(a, b), (b, a)] for a in range(1, n) for b in range(a, n)]
+    keys: set[bytes] = set()
+    for _ in fills(mul, mul_cells, associative):
+        for _ in fills(add, add_cells,
+                       lambda t: distributive(t) and associative(t)):
+            S = make_semiring(add, mul, 0, one)
+            keys.add(canonical_search_brute(S)[0])
     return keys
 
 

@@ -71,6 +71,7 @@ from oracles import (
     leader_walk_brute,
     least_relabeling_brute,
     mul_completions_brute,
+    multiplication_first_keys,
     scan_flags_brute,
 )
 
@@ -210,6 +211,13 @@ def test_catalog_passes_the_orbit_count(n, labelled):
                  // len(automorphisms_brute((S.add, S.mul), n))
                  for S in enumerate_semirings(n, n))
     assert copies == _labelled_semiring_count(n) == labelled
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_catalog_matches_the_multiplication_first_census(n):
+    # an enumeration in the other order, sharing no code with the census
+    keys = multiplication_first_keys(n)
+    assert len(keys) == CENSUS_COUNTS[n] and keys == set(_catalog(n, n))
 
 
 def test_order_five_catalog_is_pinned():
@@ -440,7 +448,9 @@ def test_monoid_stage_relabeling_matches_brute_force(n):
             for b in range(n):
                 relabeled[perm[a]][perm[b]] = perm[table[a][b]]
         args = ((relabeled,), n, {0: 0}, [list(range(1, n))])
-        assert _least_relabeling(*args) == least_relabeling_brute(*args)
+        # zero, pinned at 0, is the leading block of one element
+        assert _least_relabeling((relabeled,), n, [[0], list(range(1, n))]) \
+            == least_relabeling_brute(*args)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
@@ -478,8 +488,10 @@ def test_least_relabeling_matches_brute_force_on_random_tables():
             cut = rng.randint(1, len(rest))
             blocks.append(rest[:cut])
             rest = rest[cut:]
-        args = (tables, n, pinned, blocks)
-        assert _least_relabeling(*args) == least_relabeling_brute(*args)
+        # the pinned elements, in order, lead as blocks of one element
+        assert _least_relabeling(tables, n, [[e] for e in elements[:npinned]]
+                                 + blocks) \
+            == least_relabeling_brute(tables, n, pinned, blocks)
 
 
 # sha256 of canonical_form and the labels of canonical_relabel, recorded

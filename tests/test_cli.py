@@ -21,6 +21,7 @@ from semirings import (
 )
 from semirings.cli import _EXIT_CODES, emit_report, main, run
 from semirings.fileformat import ParseError, parse_semiring_tables
+from test_fileformat import HASH_LABEL_DOCUMENT
 
 ROUND_TRIP_PRESETS = ["bool", "zmod:4", "t2b", "m2z2", "z2x-sq", "z3x-sqm1",
                       "bxy-presentation", "product:bool,bool",
@@ -154,6 +155,17 @@ def test_structure_error_in_validate_file_is_reported(tmp_path):
     assert code == 1 and report["verdict"] == "error"
     assert report["result"] == {"error": "line 1, col 7: order must be positive",
                                 "kind": "ParseError"}
+
+
+@pytest.mark.parametrize("command", ["validate", "classify"])
+def test_a_label_starting_with_a_hash_is_a_parse_error(tmp_path, command):
+    path = tmp_path / "hash-label.sr"
+    path.write_text(HASH_LABEL_DOCUMENT)
+    code, report = run([command, "--file", str(path)])
+    assert code == 1 and report["verdict"] == "error"
+    assert report["result"] == {
+        "error": "line 2, col 14: label '#y' starts with '#'",
+        "kind": "ParseError"}
 
 
 # ------------------------------------------------------------ CLI contract

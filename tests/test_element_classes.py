@@ -24,8 +24,10 @@ from oracles import (
     check_theorem_brute,
     classify_brute,
     classify_factor_brute,
+    fixture_semirings,
     idempotent_without_nilorthogonal_complement_brute,
     idempotent_without_orthogonal_complement_brute,
+    invariant_blocks_brute,
     invariant_vectors_brute,
     nilorthogonal_complements_brute,
     nilpotent_by_long_sweep,
@@ -122,6 +124,16 @@ def test_classes_match_the_oracle_after_the_vectors(name):
         _assert_classes_and_vectors_match(S)
 
 
+@pytest.mark.parametrize("source", ("fixtures", 1, 2, 3, 4, 5))
+def test_blocks_match_the_oracle(source):
+    semirings = ([S for _, S in fixture_semirings()] if source == "fixtures"
+                 else enumerate_semirings(source, source))
+    for S in semirings:
+        for T in _variants(S):
+            # repr tells True from 1, so the vectors are equal entry for entry
+            assert repr(T._blocks) == repr(invariant_blocks_brute(T))
+
+
 def _counted(monkeypatch, name):
     """Patch core's function `name` to record each semiring it is given."""
     calls = []
@@ -133,12 +145,18 @@ def _counted(monkeypatch, name):
 def test_invariant_vectors_are_computed_once(monkeypatch):
     classified = _counted(monkeypatch, "_classify")
     walked = _counted(monkeypatch, "_orbits")
-    # the key and the isomorphism search need the vectors alone
+    # the key and the isomorphism search need the vectors alone, and share
+    # one partition of them into blocks
     S = from_preset("product:t2b,zmod:2")
     canonical_form(S)
-    assert isomorphic(S, S) is not None
+    blocks = S._blocks
+    R = reindex(S, reversed(S.elements))
+    for _ in range(3):
+        assert isomorphic(S, S) is not None
+        assert isomorphic(S, R) is not None and isomorphic(R, S) is not None
     invariant_vectors(S)
-    assert classified == [] and len(walked) == 1 and walked[0] is S
+    assert S._blocks is blocks
+    assert classified == [] and list(map(id, walked)) == [id(S), id(R)]
     # classifying first walks the orbits once for both
     T = from_preset("product:t2b,zmod:2")
     element_classes(T)
@@ -146,7 +164,7 @@ def test_invariant_vectors_are_computed_once(monkeypatch):
     canonical_form(T)
     assert isomorphic(T, T) is not None
     assert len(classified) == 1 and classified[0] is T
-    assert len(walked) == 2 and walked[1] is T
+    assert len(walked) == 3 and walked[2] is T
 
 
 def test_invariant_vectors_are_a_fresh_list():

@@ -5,6 +5,7 @@ string tokenizer the parser uses agrees with the positioned tokenizer,
 error position and message included.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,13 +17,37 @@ from semirings import (
     serialize_semiring,
     zmod,
 )
-from semirings.fileformat import ParseError, _split, _tokenize
+from semirings.fileformat import (
+    ParseError,
+    _split,
+    _tokenize,
+    parse_semiring_tables,
+)
 
 SEMIRINGS = (
     from_preset("bool"), zmod(3), from_preset("t2b"), from_preset("z2x-sq"),
     make_semiring(zmod(2).add, zmod(2).mul, 0, 1, ("[0 (a)]", "([b [c]],d)")),
 )
 DOCUMENTS = [serialize_semiring(S) for S in SEMIRINGS]
+
+# The Boolean algebra of order 4 with a label that starts with '#'.  No
+# table row starts with it, so no line of the document reads as a comment,
+# but `make_semiring` refuses the label.
+HASH_LABEL_DOCUMENT = """order 4
+elements a 0 #y 1
+zero 0
+one 1
+add
+a a 1 1
+a 0 #y 1
+1 #y #y 1
+1 1 1 1
+mul
+a 0 0 a
+0 0 0 0
+0 0 #y #y
+a 0 #y 1
+"""
 
 # Pieces of lines: keywords, labels, brackets nested and unbalanced, and
 # whitespace that str.split and the regular expressions must agree on.
@@ -82,6 +107,14 @@ def test_any_text_parses_or_raises_parse_error(text):
         return
     assert isinstance(S, FiniteSemiring)
     assert parse_semiring_file(serialize_semiring(S)) == S
+
+
+@pytest.mark.parametrize("parse", (parse_semiring_tables, parse_semiring_file))
+def test_a_label_starting_with_a_hash_is_a_parse_error(parse):
+    with pytest.raises(ParseError) as err:
+        parse(HASH_LABEL_DOCUMENT)
+    assert (err.value.line, err.value.col, err.value.message) == \
+        (2, 14, "label '#y' starts with '#'")
 
 
 def _outcome(tokenizer, line: str):
