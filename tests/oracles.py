@@ -753,11 +753,10 @@ def multiplication_first_keys(n: int) -> set[bytes]:
         return True
 
     mul = [[-1] * n for _ in rng]
+    add = [[-1] * n for _ in rng]
     for a in rng:
         mul[0][a] = mul[a][0] = 0
         mul[one][a] = mul[a][one] = a
-    add = [[-1] * n for _ in rng]
-    for a in rng:
         add[0][a] = add[a][0] = a
     mul_cells = [[(a, b)] for a in rng for b in rng if mul[a][b] < 0]
     add_cells = [[(a, b), (b, a)] for a in range(1, n) for b in range(a, n)]
