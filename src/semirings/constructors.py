@@ -161,8 +161,8 @@ def direct_product(S: FiniteSemiring, T: FiniteSemiring) -> FiniteSemiring:
 def from_preset(name: str):
     """Resolve a preset name to a FiniteSemiring or a symbolic model.
 
-    Composite presets: product:A,B[,C...], matrix:BASE,n, triangular:BASE,n,
-    where the component presets must not themselves contain commas.
+    Composite presets: product:A,B[,C...] of comma-free components, and
+    matrix:BASE,n and triangular:BASE,n, which nest to any depth.
     The presentation and symbolic modules load only for the presets that
     use them.
     """
@@ -208,15 +208,23 @@ def from_preset(name: str):
             result = direct_product(result, _finite_preset(part))
         return result
     if name.startswith(("matrix:", "triangular:")):
-        kind, rest = name.split(":", 1)
-        try:
-            base_name, dim = rest.rsplit(",", 1)
-            n = ascii_int(dim)
-        except ValueError:
-            raise DomainError(f"malformed preset {name!r}") from None
-        base = _finite_preset(base_name)
-        builder = matrix_semiring if kind == "matrix" else triangular_semiring
-        return builder(base, n)
+        # peel every level before building anything, outermost first, so
+        # that any nesting depth parses without recursion
+        layers = []
+        while name.startswith(("matrix:", "triangular:")):
+            kind, rest = name.split(":", 1)
+            try:
+                base_name, dim = rest.rsplit(",", 1)
+                n = ascii_int(dim)
+            except ValueError:
+                raise DomainError(f"malformed preset {name!r}") from None
+            layers.append((matrix_semiring if kind == "matrix"
+                           else triangular_semiring, n))
+            name = base_name
+        result = _finite_preset(name)
+        for builder, n in reversed(layers):
+            result = builder(result, n)
+        return result
     raise DomainError(f"unknown preset {name!r}")
 
 

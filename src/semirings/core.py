@@ -211,7 +211,7 @@ class FiniteSemiring:
 
     @cached_property
     def _vectors(self) -> list[tuple]:
-        return [vector for _, _, vector in _orbits(self)]
+        return list(_orbits(self))
 
     @cached_property
     def _blocks(self) -> list[tuple[tuple, list[int]]]:
@@ -671,37 +671,35 @@ def element_classes(S: FiniteSemiring) -> ClassReport:
 def invariant_vectors(S: FiniteSemiring) -> list[tuple]:
     """Per element: idempotent, nilpotency index (0 if none), additively
     invertible, unit, and the (tail, cycle) lengths of its additive and
-    multiplicative orbits.  Computed once per semiring, by `_classify` if
-    it runs first, else from the orbits alone."""
+    multiplicative orbits.  Computed once per semiring, from one walk of
+    each element's orbits, and shared with `_classify`."""
     return list(S._vectors)
 
 
-def _orbit(row, x: int) -> tuple[list[int], int]:
-    """The walk x, row[x], ... up to its first repeat, and its tail length."""
+def _orbit(row, x: int) -> tuple[int, int, int]:
+    """The walk x, row[x], ... up to its first repeat: its length, its tail
+    length and its last element."""
     seen: dict[int, int] = {}
     while x not in seen:
         seen[x] = len(seen)
-        x = row[x]
-    return list(seen), seen[x]
+        last, x = x, row[x]
+    return len(seen), seen[x], last
 
 
 def _orbits(S: FiniteSemiring):
-    """For each element a in turn: its multiples a, 2a, 3a, ..., its powers
-    a, a^2, a^3, ..., each up to its first repeat, and its invariant
-    vector, read off those two walks (see `_classify`)."""
+    """For each element a in turn, its invariant vector, read off the walks
+    of its multiples a, 2a, 3a, ... and its powers a, a^2, a^3, ..., each
+    up to its first repeat (see `_classify`)."""
     zero, one = S.zero, S.one
     for a, add_row, mul_row in zip(S.elements, S.add, S.mul):
-        multiples, add_tail = _orbit(add_row, a)
-        powers, mul_tail = _orbit(mul_row, a)
-        k, end = len(powers), powers[-1]
-        yield multiples, powers, (
-            k == 1, k if end == zero else 0, multiples[-1] == zero, end == one,
-            (add_tail, len(multiples) - add_tail), (mul_tail, k - mul_tail))
+        m, add_tail, add_end = _orbit(add_row, a)
+        k, mul_tail, end = _orbit(mul_row, a)
+        yield (k == 1, k if end == zero else 0, add_end == zero, end == one,
+               (add_tail, m - add_tail), (mul_tail, k - mul_tail))
 
 
 def _classify(S: FiniteSemiring) -> ClassReport:
-    """The class report, from the walks of `_orbits`; the invariant vectors
-    come with them and are kept on S unless it has them already.
+    """The class report, read off the invariant vectors.
 
     An identity on an orbit ends it, as the next step returns to a, and so
     does zero on the powers, being absorbing.  Conversely each element of
@@ -710,30 +708,20 @@ def _classify(S: FiniteSemiring) -> ClassReport:
     (S, +) or of (S, *).  So a is additively invertible iff its multiples
     end at zero, a unit iff its powers end at one, nilpotent iff its
     powers end at zero, of index their number, and idempotent iff its
-    powers are a alone.  The inverse is the element before the identity,
-    (k-1)a when ka = 0 and u^(k-1) when u^k = 1, or a itself when a is
-    the identity.  Inverses are unique, so they are the witnesses that a
-    search for the least index would find.
+    powers are a alone.  The witnesses are the first zero in row a of +
+    and the first one in row a of *: an inverse is unique, and in a finite
+    monoid a right inverse is two-sided, so each is the only candidate.
     """
-    nil_index: dict[int, int] = {}
-    add_inv: dict[int, int] = {}
-    unit_wit: dict[int, int] = {}
-    vectors = []
-    for a, (multiples, powers, vector) in enumerate(_orbits(S)):
-        # orbit[-2:][0] is the element before the last, or a if alone
-        if vector[2]:
-            add_inv[a] = multiples[-2:][0]
-        if vector[3]:
-            unit_wit[a] = powers[-2:][0]
-        if vector[1]:
-            nil_index[a] = vector[1]
-        vectors.append(vector)
-    S.__dict__.setdefault("_vectors", vectors)
+    vectors = S._vectors
+    nil_index = {a: v[1] for a, v in enumerate(vectors) if v[1]}
+    add_inv = {a: S.add[a].index(S.zero)
+               for a, v in enumerate(vectors) if v[2]}
+    unit_wit = {a: S.mul[a].index(S.one) for a, v in enumerate(vectors) if v[3]}
     # e + x over the nilpotents x, gathered from row e; zero is nilpotent,
     # so listing it again changes no sum and keeps the result a tuple
     nil_sums = itemgetter(S.zero, *nil_index)
     nilidem = [e for e in S.elements if S.mul[e][e] in nil_sums(S.add[e])]
-    idem = [a for a, vector in enumerate(vectors) if vector[0]]
+    idem = [a for a, v in enumerate(vectors) if v[0]]
     center = [a for a, (row, col) in enumerate(zip(S.mul, zip(*S.mul)))
               if row == col]
     n = S.order

@@ -428,6 +428,14 @@ def test_malformed_preset_integer_is_an_error(preset):
     assert report["result"]["error"] == f"malformed preset {preset!r}"
 
 
+def test_deeply_nested_preset_gets_a_report():
+    # 500 levels exceed the interpreter's recursion limit
+    preset = "triangular:" * 500 + "bool" + ",1" * 500
+    code, report = run(["classify", "--preset", preset, "--json"])
+    assert code == 0 and report["verdict"] == "ok"
+    assert report["result"]["order"] == 2
+
+
 def test_preset_over_the_size_cap_is_an_error():
     code, report = run(["classify", "--preset", "zmod:5000", "--json"])
     assert code == 1 and report["verdict"] == "error"
@@ -563,6 +571,22 @@ def test_census_result_is_pinned():
         json.dumps(report["result"], sort_keys=True).encode()).hexdigest()
     assert digest == \
         "832495ad079577c6ea35ce823ff69aeaf8a303f2bfe26f13d4d4d188a72087d1"
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["census", "--json"],
+     "35ab5254a817233bba9af763b95fe4377dabf039a583b4e9923ac15cb8e49641"),
+    (["census", "--include-trivial", "--json"],
+     "4f47260bdbd009fd31011c5e8c3840f5c82f6cd039025d411918a2a0086dda2e"),
+    (["iso", "--preset", "z3x-sqm1", "--preset", "product:zmod:3,zmod:3",
+      "--json"],
+     "96211ed8d4ac15a19e27e655a12b7c689e9644a69c2a0827d974d38ce3fbf1d6"),
+], ids=["census", "census-include-trivial", "iso"])
+def test_rendered_json_reports_are_pinned(argv, digest):
+    # the whole rendered document, bytes and all, is the contract
+    _, report = run(argv)
+    rendered = emit_report(report, "json").encode()
+    assert hashlib.sha256(rendered).hexdigest() == digest
 
 
 def test_census_json_violations_key_present_when_empty():

@@ -199,6 +199,39 @@ def test_preset_integers_below_one_keep_their_messages(name, message):
     assert str(err.value) == message
 
 
+# Nested presets are parsed outermost first, level by level, before the
+# base is resolved and any matrix is built innermost first; the first
+# error on that path is the one reported.
+@pytest.mark.parametrize("name,message", [
+    ("matrix:matrix:bool,x,2", "malformed preset 'matrix:bool,x'"),
+    ("matrix:triangular:bool,2,x",
+     "malformed preset 'matrix:triangular:bool,2,x'"),
+    ("matrix:triangular:nat,0,x",
+     "malformed preset 'matrix:triangular:nat,0,x'"),
+    ("matrix:triangular:nat,0,0", "preset 'nat' is symbolic; composite "
+     "presets need finite components"),
+    ("matrix:triangular:nope,2,2", "unknown preset 'nope'"),
+    ("matrix:triangular:bool,0,2", "matrix dimension must be at least 1"),
+    ("matrix:triangular:bool,2,0", "matrix dimension must be at least 1"),
+    ("triangular:matrix:bool,9,2",
+     "at least 2^81 elements exceeds the size cap 4096"),
+])
+def test_nested_preset_errors_keep_their_order(name, message):
+    with pytest.raises(DomainError) as err:
+        from_preset(name)
+    assert str(err.value) == message
+
+
+def test_deeply_nested_presets_resolve():
+    # 500 levels exceed the interpreter's recursion limit
+    depth = 500
+    M = from_preset("matrix:" * depth + "bool" + ",1" * depth)
+    B = boolean_semiring()
+    assert (M.add, M.mul, M.zero, M.one) == (B.add, B.mul, B.zero, B.one)
+    assert M.labels == ("[" * depth + "0" + "]" * depth,
+                        "[" * depth + "1" + "]" * depth)
+
+
 @pytest.mark.parametrize("name,S", fixture_semirings())
 def test_constructors_place_zero_and_one_first(name, S):
     assert S.zero == 0

@@ -1,9 +1,9 @@
 """Element classes, invariant vectors and the element-level queries
 against the exhaustive oracles.
 
-The library reads every class and both orbit profiles off one walk of
-each element's two orbits; `classify_brute` and `invariant_vectors_brute`
-search for each fact separately.  They must agree field for field, in
+The library reads every class off the invariant vectors, which come from
+one walk of each element's two orbits; `classify_brute` and
+`invariant_vectors_brute` search for each fact separately.  They must agree field for field, in
 the key order of every witness dict, and vector for vector.  The queries
 that read the cached classes (nilpotency, inverses, commutativity,
 complements, the clause finders, decompositions, Peirce factor classes)
@@ -117,10 +117,15 @@ def test_classes_and_vectors_match_the_oracle(name):
 
 @pytest.mark.parametrize("name", CASES)
 def test_classes_match_the_oracle_after_the_vectors(name):
-    # the vectors come from the orbits alone; classifying later keeps them
+    # the vectors come first; classifying later reads them
     for S in _variants(replace(_semiring(name))):
         vectors = invariant_vectors(S)
         assert repr(vectors) == repr(invariant_vectors_brute(S))
+        _assert_classes_and_vectors_match(S)
+
+
+def test_order_5_catalog_classes_and_vectors_match_the_oracle():
+    for S in enumerate_semirings(5, 5):
         _assert_classes_and_vectors_match(S)
 
 
@@ -157,13 +162,16 @@ def test_invariant_vectors_are_computed_once(monkeypatch):
     invariant_vectors(S)
     assert S._blocks is blocks
     assert classified == [] and list(map(id, walked)) == [id(S), id(R)]
+    # the class report reads the same vectors: S is not walked again
+    assert element_classes(S) == classify_brute(S)
+    assert classified == [S] and list(map(id, walked)) == [id(S), id(R)]
     # classifying first walks the orbits once for both
     T = from_preset("product:t2b,zmod:2")
     element_classes(T)
     invariant_vectors(T)
     canonical_form(T)
     assert isomorphic(T, T) is not None
-    assert len(classified) == 1 and classified[0] is T
+    assert len(classified) == 2 and classified[1] is T
     assert len(walked) == 3 and walked[2] is T
 
 
