@@ -3,12 +3,13 @@ against the exhaustive oracles.
 
 The library reads every class off the invariant vectors, which come from
 one walk of each element's two orbits; `classify_brute` and
-`invariant_vectors_brute` search for each fact separately.  They must agree field for field, in
-the key order of every witness dict, and vector for vector.  The queries
-that read the cached classes (nilpotency, inverses, commutativity,
-complements, the clause finders, decompositions, Peirce factor classes)
-must give the witnesses of the oracles' own scans, and the theorem reports
-and scan flags built on them those of `check_theorem_brute`.
+`invariant_vectors_brute` search for each fact separately.  They must
+agree field for field, in the key order of every witness dict, and vector
+for vector.  The queries that read the cached classes (nilpotency,
+inverses, commutativity, complements, the clause finders, decompositions,
+Peirce factor classes) must give the witnesses of the oracles' own scans,
+and the theorem reports and scan flags built on them those of
+`check_theorem_brute`.
 """
 
 import random
