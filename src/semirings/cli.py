@@ -9,6 +9,7 @@ domain errors, 2 when a theorem scan or check reports a violation.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from pathlib import Path
@@ -108,7 +109,7 @@ def _load_inputs(args) -> tuple[list, dict]:
     if args.file:
         from .fileformat import parse_semiring_file
     for path in args.file:
-        inputs.append(parse_semiring_file(Path(path).read_text()))
+        inputs.append(parse_semiring_file(Path(path).read_text("utf-8")))
     for preset in args.preset:
         inputs.append(from_preset(preset))
     descriptor = {"files": list(args.file), "presets": list(args.preset)}
@@ -227,7 +228,7 @@ def _cmd_validate(args) -> tuple[str, dict, dict]:
         return "ok", descriptor, {"valid": True, "violations": []}
     from .fileformat import parse_semiring_tables
     add, mul, zero, one, labels = parse_semiring_tables(
-        Path(args.file[0]).read_text())
+        Path(args.file[0]).read_text("utf-8"))
     report = validate(add, mul, zero, one)
     payload = {
         "valid": report.valid,
@@ -272,7 +273,7 @@ def _dispatch(args) -> tuple[str, dict, dict]:
         name = args.preset[0] if args.preset else args.file[0]
         document = serialize_semiring(S, comment=f"semirings build {name}")
         if args.out:
-            Path(args.out).write_text(document)
+            Path(args.out).write_text(document, "utf-8")
             payload = {"path": args.out, "order": S.order}
         else:
             payload = {"document": document, "order": S.order}
@@ -467,6 +468,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     code, report = run(list(argv))
     fmt = "json" if "--json" in argv else "text"
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        # a stream that cannot encode a label or clause name escapes it
+        sys.stdout.reconfigure(errors="backslashreplace")
     sys.stdout.write(emit_report(report, fmt))
     return code
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from itertools import compress
+from operator import itemgetter, ne
 from typing import Iterable, Iterator
 
 # The theorems and the largest census order live here rather than in `ops`
@@ -293,14 +294,14 @@ _SWEEP_BELOW = 8
 def validate(add, mul, zero: int, one: int) -> AxiomReport:
     """Check every semiring axiom, listing all violated instances.
 
-    One row screen, `_breaks`, names the (a, b) at which some c breaks an
-    associative or distributive law.  From order 8 on, it runs at the
-    elements of a generating set, in O(n^2 |G|) steps instead of O(n^3):
-    passing there is a proof that the tables are a semiring (see
-    `_generated_laws_hold`).  Otherwise, and always on smaller carriers,
-    `_sweep` lists every violated instance in the order of the plain
-    O(n^3) loops, running the screen at every element from order 8 on and
-    the loop over c only at the (a, b) it names.
+    One row screen, `_breaks`, hands back the two sides of an associative
+    or distributive law as whole rows wherever they differ.  From order 8
+    on, it runs at the elements of a generating set, in O(n^2 |G|) steps
+    instead of O(n^3): passing there is a proof that the tables are a
+    semiring (see `_generated_laws_hold`).  Otherwise, and always on
+    smaller carriers, `_sweep` lists every violated instance in the order
+    of the plain O(n^3) loops, reading them off the screen's rows at every
+    element from order 8 on.
 
     Structural problems (non-square tables, out-of-range entries) raise
     MalformedTableError instead of being reported as axiom violations.
@@ -395,12 +396,14 @@ def _short_violations(add, mul, zero: int, one: int, n: int) -> list:
 
 
 def _breaks(add, mul, n: int, add_at, mul_at):
-    """The (a, b), perhaps repeated, at which some c breaks a law:
-    (a+b)+c = a+(b+c) for b in `add_at`, (ab)c = a(bc) for b in `mul_at`,
-    a(b+c) = ab+ac for a in `mul_at`, and (a+b)c = ac+bc for c in `mul_at`.
-    Each side is a row composed by `_rows`: over c for the first three
-    laws, in one loop, and over b, from the columns of *, for the last.
-    Lazy, so a caller can stop at the first break."""
+    """The breaks of the four laws, as (law, a, b, left, right): `left` and
+    `right` are the rows over c of the two sides of law 0, (a+b)+c =
+    a+(b+c), for b in `add_at`, of law 1, (ab)c = a(bc), for b in
+    `mul_at`, and of law 2, a(b+c) = ab+ac, for a in `mul_at`, whenever
+    they differ.  Law 3, (a+b)c = ac+bc, for c in `mul_at`, is compared
+    over b, from the columns of *, and yields (3, a, c, left, right).
+    Each side is a row composed by `_rows`.  Lazy, so a caller can stop at
+    the first break."""
     add, add_data, at_add = _rows(add, n)
     mul, mul_data, at_mul = _rows(mul, n)
     add_at, mul_at = set(add_at), set(mul_at)
@@ -409,19 +412,20 @@ def _breaks(add, mul, n: int, add_at, mul_at):
         k_add, k_mul = k in add_at, k in mul_at
         at_ak, at_mk, mul_k, mk_data = at_add[k], at_mul[k], mul[k], mul_data[k]
         for x, add_x, ax_data, mul_x, mx_data, at_ax in rows:
-            # (x+k)+c = x+(k+c) and (xk)c = x(kc)
-            if (k_add and add[add_x[k]] != at_ak(ax_data)
-                    or k_mul and mul[mul_x[k]] != at_mk(mx_data)):
-                yield x, k
-            # k(x+c) = kx+kc
-            if k_mul and at_ax(mk_data) != at_mk(add_data[mul_k[x]]):
-                yield k, x
+            # (x+k)+c = x+(k+c), (xk)c = x(kc) and k(x+c) = kx+kc
+            if k_add and (left := add[add_x[k]]) != (right := at_ak(ax_data)):
+                yield 0, x, k, left, right
+            if k_mul:
+                if (left := mul[mul_x[k]]) != (right := at_mk(mx_data)):
+                    yield 1, x, k, left, right
+                if ((left := at_ax(mk_data))
+                        != (right := at_mk(add_data[mul_k[x]]))):
+                    yield 2, k, x, left, right
     cols = _rows((map(itemgetter(c), mul) for c in mul_at), n)
-    for col, col_data, at_col in zip(*cols):
+    for c, col, col_data, at_col in zip(mul_at, *cols):
         for a, (at_a, col_a) in enumerate(zip(at_add, col)):
-            left, right = at_a(col_data), at_col(add_data[col_a])
-            if left != right:
-                yield from ((a, b) for b in range(n) if left[b] != right[b])
+            if (left := at_a(col_data)) != (right := at_col(add_data[col_a])):
+                yield 3, a, c, left, right
 
 
 def _generated_laws_hold(add, mul, zero: int, one: int, n: int) -> bool:
@@ -441,38 +445,51 @@ def _generated_laws_hold(add, mul, zero: int, one: int, n: int) -> bool:
                              _generators(mul, (zero, one), n)), None) is None)
 
 
+_LAWS = ("add-associativity", "mul-associativity", "left-distributivity",
+         "right-distributivity")
+
+
 def _sweep(add, mul, zero: int, one: int, n: int) -> list[AxiomViolation]:
     """Every violated axiom instance, in the order of direct O(n^3) loops.
 
-    The loop over c runs for each (a, b) below order `_SWEEP_BELOW`, and
-    from there on only at the (a, b) that `_breaks` names when run at every
-    element, as every other (a, b) holds all four laws for every c.
+    Below order `_SWEEP_BELOW` the loops run as written.  From there on
+    `_breaks` runs at every element, and each instance is read off the
+    rows it hands back: law 0, 1 or 2 at (a, b) is broken at each c where
+    the two rows differ, law 3 at (a, c) at each such b.  Each instance is
+    one int, ordered as (a, b, c, law), so sorting them gives the order of
+    the loops.
     """
     rng = range(n)
     bad = _short_violations(add, mul, zero, one, n)
-    if n < _SWEEP_BELOW:
-        suspects = [rng] * n
-    else:
-        suspects = [set() for _ in rng]
-        for a, b in _breaks(add, mul, n, rng, rng):
-            suspects[a].add(b)
-        suspects = list(map(sorted, suspects))
+    if n >= _SWEEP_BELOW:
+        found: list[int] = []
+        for law, a, i, left, right in _breaks(add, mul, n, rng, rng):
+            # the rows run over c at b = i, or over b at c = i for law 3
+            base, step = (((a * n + i) * n * 4 + law, 4) if law < 3
+                          else ((a * n * n + i) * 4 + law, 4 * n))
+            found.extend(base + step * j
+                         for j in compress(rng, map(ne, left, right)))
+        for key in sorted(found):
+            key, law = divmod(key, 4)
+            key, c = divmod(key, n)
+            bad.append(AxiomViolation(_LAWS[law], (*divmod(key, n), c)))
+        return bad
     for a in rng:
         adda, mula = add[a], mul[a]
-        for b in suspects[a]:
+        for b in rng:
             addb, mulb = add[b], mul[b]
             # rows for (a+b)+c, (ab)c, ab+ac and (a+b)c
             add_ab, mul_ab = add[adda[b]], mul[mula[b]]
             add_mab, mul_aab = add[mula[b]], mul[adda[b]]
             for c in rng:
                 if add_ab[c] != adda[addb[c]]:
-                    bad.append(AxiomViolation("add-associativity", (a, b, c)))
+                    bad.append(AxiomViolation(_LAWS[0], (a, b, c)))
                 if mul_ab[c] != mula[mulb[c]]:
-                    bad.append(AxiomViolation("mul-associativity", (a, b, c)))
+                    bad.append(AxiomViolation(_LAWS[1], (a, b, c)))
                 if mula[addb[c]] != add_mab[mula[c]]:
-                    bad.append(AxiomViolation("left-distributivity", (a, b, c)))
+                    bad.append(AxiomViolation(_LAWS[2], (a, b, c)))
                 if mul_aab[c] != add[mula[c]][mulb[c]]:
-                    bad.append(AxiomViolation("right-distributivity", (a, b, c)))
+                    bad.append(AxiomViolation(_LAWS[3], (a, b, c)))
     return bad
 
 
@@ -586,38 +603,54 @@ def tabulate(elements, plus, times, zero, one, label) -> FiniteSemiring:
     given, so zero gets index 0 and one index 1 (0 when the semiring is
     trivial).  `label(x)` names element x.
 
-    Precondition: both operations are associative.  Each table is built
-    from the rows of the generating set that `_walk` finds, seeded with
-    zero for + and with zero, one for *: the operation is evaluated only on
-    a generator's row, and every other x is reached as x = rg, with r
-    reached before it and g a generator, so associativity, (rg)y = r(gy),
-    makes row(x) one gather of row(r) along row(g).  The callers meet it:
-    zmod and the Boolean semiring use integer sums, products, max and min;
-    polynomial residues form a quotient ring; products, Peirce factors eS
-    and matrices compute with the operations of semirings that were
-    validated; and a presentation's closure has stabilized with every
-    associativity instance over its class representatives asserted.  The
-    tables go through `make_semiring`, which validates them and checks the
-    labels.
+    Precondition: both operations are associative, and * distributes over
+    + on the left.  Each table is built from the rows of the generating
+    set that `_walk` finds, seeded with zero for + and with zero, one for
+    *: every other x is reached as x = rg, with r reached before it and g
+    a generator, so associativity, (rg)y = r(gy), makes row(x) one gather
+    of row(r) along row(g).  The row of + at a generator is evaluated in
+    full.  The row of * at a generator x is evaluated only at the
+    generators h of +: every other y is reached by the walk of + as
+    y = r + h, and left distributivity, x(r+h) = xr + xh, reads xy off
+    the + table.  The callers meet both: zmod and the Boolean semiring use
+    integer sums, products, max and min; polynomial residues form a
+    quotient ring; products, Peirce factors eS and matrices compute with
+    the operations of semirings that were validated; and a presentation's
+    closure has stabilized with every associativity and distributivity
+    instance over its class representatives asserted.  The tables go
+    through `make_semiring`, which validates them and checks the labels.
     """
     carrier = [zero] + ([one] if one != zero else [])
     carrier += [x for x in elements if x != zero and x != one]
     index = {x: i for i, x in enumerate(carrier)}
     n = len(carrier)
 
-    def table(op, seeds) -> list[tuple[int, ...]]:
+    def table(seeds, generator_row):
+        """The rows of an operation, and the walk that filled them."""
         rows: list = [None] * n
         gathers: dict[int, itemgetter] = {}  # generator -> gather along its row
+        steps = []
         for x, r, g in _walk(rows, seeds, n):
+            steps.append((x, r, g))
             if r is None:
-                rows[x] = tuple(index[op(carrier[x], y)] for y in carrier)
+                rows[x] = generator_row(carrier[x])
                 gathers[g] = itemgetter(*rows[x])
             else:
                 rows[x] = gathers[g](rows[r])
-        return rows
+        return rows, steps
+
+    add, add_walk = table((0,), lambda x: tuple(index[plus(x, y)]
+                                                for y in carrier))
+
+    def mul_row(x) -> tuple[int, ...]:
+        row = [0] * n
+        for y, r, h in add_walk:  # y = r + h, or the generator h
+            row[y] = (index[times(x, carrier[y])] if r is None
+                      else add[row[r]][row[h]])
+        return tuple(row)
 
     one = index[one]
-    return make_semiring(table(plus, (0,)), table(times, (0, one)), 0, one,
+    return make_semiring(add, table((0, one), mul_row)[0], 0, one,
                          map(label, carrier))
 
 

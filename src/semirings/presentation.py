@@ -1,10 +1,14 @@
 """Finitely presented semirings via congruence closure.
 
 Elements of the quotient are classes of terms built from the generators,
-0 and 1 by + and *.  Each round instantiates the semiring axioms (and
-additive idempotency when requested) over one representative per class,
-asserts the defining relations, and lets ground congruence closure merge;
-the run ends when a round changes nothing, or when the number of live
+0 and 1 by + and *.  The defining relations are asserted once, then each
+round instantiates the semiring axioms (and additive idempotency when
+requested) over one representative per class, and ground congruence
+closure merges, over hash-consed term nodes (Downey, Sethi & Tarjan,
+"Variations on the common subexpression problem", J. ACM 27(4), 1980).
+An instance over representatives that were all representatives in the
+round before was asserted then, so a round asserts only the others.  The
+run ends when a round changes nothing, or when the number of live
 classes passes the configured bound.  A finished table is validated and
 the relations are re-checked against it, so a "finite" answer is exact:
 any incompleteness would surface as a failed check, never as a wrong
@@ -128,17 +132,23 @@ def parse_term(text: str, generators: tuple[str, ...]) -> Term:
 
 
 class _CongruenceClosure:
-    """Union-find over terms with signature-based congruence propagation."""
+    """Union-find over hash-consed term nodes, with signature-based
+    congruence propagation (Downey, Sethi & Tarjan, J. ACM 27(4), 1980).
+
+    A node is a leaf term, ("0",), ("1",) or ("g", name), or a compound
+    (op, left id, right id), so a node is hashed in constant time however
+    deep its term is.  Ids count up in the order nodes are first added,
+    children before parents.
+    """
 
     def __init__(self, class_bound: int):
         self.class_bound = class_bound
-        self.terms: list[Term] = []
-        self.ids: dict[Term, int] = {}
+        self.nodes: list[tuple] = []
+        self.ids: dict[tuple, int] = {}
         self.parent: list[int] = []
         self.size: list[int] = []
-        self.term_keys: list[tuple] = []    # per term: (size, rendering)
-        self.best: list[Term] = []          # per root: minimal member term
-        self.key: list[tuple] = []          # per root: the key of best
+        self.term_keys: list[tuple] = []    # per node: (size, rendering)
+        self.best: list[int] = []           # per root: its minimal member
         self.sig: dict[tuple, int] = {}      # (op, root_l, root_r) -> exemplar
         self.uses: dict[int, list[int]] = {}  # root -> compound ids over it
         self.n_classes = 0
@@ -153,48 +163,53 @@ class _CongruenceClosure:
         return i
 
     def add(self, t: Term) -> int:
+        """The id of term t, adding the nodes it is built from."""
+        if t[0] in ("+", "*"):
+            return self.node(t[0], self.add(t[1]), self.add(t[2]))
         known = self.ids.get(t)
+        return self._new(t, (1, render_term(t))) if known is None else known
+
+    def node(self, op: str, left: int, right: int) -> int:
+        """The id of the compound node (op, left, right)."""
+        known = self.ids.get((op, left, right))
         if known is not None:
             return known
-        if t[0] in ("+", "*"):
-            left = self.add(t[1])
-            right = self.add(t[2])
-            (lsize, ltext), (rsize, rtext) = (self.term_keys[left],
-                                              self.term_keys[right])
-            if t[0] == "*":  # as render_term: products wrap sum operands
-                ltext = f"({ltext})" if t[1][0] == "+" else ltext
-                rtext = f"({rtext})" if t[2][0] == "+" else rtext
-            key = (1 + lsize + rsize, f"{ltext}{t[0]}{rtext}")
+        (lsize, ltext), (rsize, rtext) = (self.term_keys[left],
+                                          self.term_keys[right])
+        if op == "*":  # as render_term: products wrap sum operands
+            ltext = f"({ltext})" if self.nodes[left][0] == "+" else ltext
+            rtext = f"({rtext})" if self.nodes[right][0] == "+" else rtext
+        i = self._new((op, left, right),
+                      (1 + lsize + rsize, f"{ltext}{op}{rtext}"))
+        rl, rr = self.find(left), self.find(right)
+        self.uses[rl].append(i)
+        if rr != rl:
+            self.uses[rr].append(i)
+        exemplar = self.sig.get((op, rl, rr))
+        if exemplar is None:
+            self.sig[op, rl, rr] = i
         else:
-            key = (1, render_term(t))
-        i = len(self.terms)
-        self.terms.append(t)
-        self.ids[t] = i
+            self.union(i, exemplar)
+        return i
+
+    def _new(self, node: tuple, key: tuple) -> int:
+        i = len(self.nodes)
+        self.nodes.append(node)
+        self.ids[node] = i
         self.parent.append(i)
         self.size.append(1)
         self.term_keys.append(key)
-        self.best.append(t)
-        self.key.append(key)
+        self.best.append(i)
         self.uses[i] = []
         self.n_classes += 1
         self.added_any = True
         if self.n_classes > self.class_bound:
             raise _BoundExceeded
-        if t[0] in ("+", "*"):
-            rl, rr = self.find(left), self.find(right)
-            self.uses[rl].append(i)
-            if rr != rl:
-                self.uses[rr].append(i)
-            sig = (t[0], rl, rr)
-            exemplar = self.sig.get(sig)
-            if exemplar is None:
-                self.sig[sig] = i
-            else:
-                self.union(i, exemplar)
         return i
 
     def union(self, a: int, b: int) -> None:
         stack = [(a, b)]
+        keys = self.term_keys
         while stack:
             u, v = stack.pop()
             ru, rv = self.find(u), self.find(v)
@@ -205,14 +220,14 @@ class _CongruenceClosure:
             # rv is absorbed into ru
             self.parent[rv] = ru
             self.size[ru] += self.size[rv]
-            if self.key[rv] < self.key[ru]:  # on a tie ru keeps its term
-                self.best[ru], self.key[ru] = self.best[rv], self.key[rv]
+            if keys[self.best[rv]] < keys[self.best[ru]]:  # a tie keeps ru's
+                self.best[ru] = self.best[rv]
             self.n_classes -= 1
             self.merged_any = True
             moved = self.uses.pop(rv, [])
             for cid in moved:
-                t = self.terms[cid]
-                key = (t[0], self.find(self.ids[t[1]]), self.find(self.ids[t[2]]))
+                op, left, right = self.nodes[cid]
+                key = (op, self.find(left), self.find(right))
                 exemplar = self.sig.get(key)
                 if exemplar is None or self.find(exemplar) == self.find(cid):
                     self.sig[key] = cid
@@ -220,52 +235,62 @@ class _CongruenceClosure:
                     stack.append((cid, exemplar))
             self.uses[ru].extend(moved)
 
-    def assert_eq(self, t1: Term, t2: Term) -> None:
-        self.union(self.add(t1), self.add(t2))
+    def representatives(self) -> list[int]:
+        """The least member of each class, in the order of their keys."""
+        roots = {self.find(i) for i in range(len(self.nodes))}
+        best, keys = self.best, self.term_keys
+        return sorted((best[r] for r in roots), key=keys.__getitem__)
 
-    def root_of(self, t: Term) -> int:
-        return self.find(self.ids[t])
-
-    def representatives(self) -> list[Term]:
-        roots = {self.find(i) for i in range(len(self.terms))}
-        return [self.best[r] for r in sorted(roots, key=self.key.__getitem__)]
+    def label(self, i: int) -> str:
+        """The least term of i's class, rendered."""
+        return self.term_keys[self.best[self.find(i)]][1]
 
 
-def _instantiate_axioms(cc: _CongruenceClosure, reps: list[Term],
+def _instantiate_axioms(cc: _CongruenceClosure, reps: list[int], old: set,
                         additively_idempotent: bool) -> None:
-    for a in reps:
-        cc.assert_eq(("+", ZERO, a), a)
-        cc.assert_eq(("+", a, ZERO), a)
-        cc.assert_eq(("*", ONE, a), a)
-        cc.assert_eq(("*", a, ONE), a)
-        cc.assert_eq(("*", ZERO, a), ZERO)
-        cc.assert_eq(("*", a, ZERO), ZERO)
+    """Assert every axiom instance over the representatives `reps`, in the
+    order of plain loops, except each instance over the representatives
+    `old` of the round before alone: that one was asserted then, so its
+    nodes exist and are merged, and asserting it again changes nothing."""
+    node, union = cc.node, cc.union
+    zero, one = cc.ids[ZERO], cc.ids[ONE]
+    new = [a for a in reps if a not in old]
+    for a in new:
+        union(node("+", zero, a), a)
+        union(node("+", a, zero), a)
+        union(node("*", one, a), a)
+        union(node("*", a, one), a)
+        union(node("*", zero, a), zero)
+        union(node("*", a, zero), zero)
         if additively_idempotent:
-            cc.assert_eq(("+", a, a), a)
+            union(node("+", a, a), a)
+    for a in reps:
+        for b in (new if a in old else reps):
+            union(node("+", a, b), node("+", b, a))
     for a in reps:
         for b in reps:
-            cc.assert_eq(("+", a, b), ("+", b, a))
-    for a in reps:
-        for b in reps:
-            for c in reps:
-                cc.assert_eq(("+", ("+", a, b), c), ("+", a, ("+", b, c)))
-                cc.assert_eq(("*", ("*", a, b), c), ("*", a, ("*", b, c)))
-                cc.assert_eq(("*", a, ("+", b, c)),
-                             ("+", ("*", a, b), ("*", a, c)))
-                cc.assert_eq(("*", ("+", a, b), c),
-                             ("+", ("*", a, c), ("*", b, c)))
+            for c in (new if a in old and b in old else reps):
+                union(node("+", node("+", a, b), c),
+                      node("+", a, node("+", b, c)))
+                union(node("*", node("*", a, b), c),
+                      node("*", a, node("*", b, c)))
+                union(node("*", a, node("+", b, c)),
+                      node("+", node("*", a, b), node("*", a, c)))
+                union(node("*", node("+", a, b), c),
+                      node("+", node("*", a, c), node("*", b, c)))
 
 
 def _build_table(cc: _CongruenceClosure) -> FiniteSemiring:
     """The table of the stabilized closure, one element per class, other
-    classes in the order of their least terms.  Every associativity
-    instance over the representatives holds, as `tabulate` requires."""
+    classes in the order of their least terms.  Every associativity and
+    distributivity instance over the representatives holds, as `tabulate`
+    requires: its two sides are merged nodes, and the closure is
+    congruent, so the classes of their subterms compose alike."""
     def op(symbol: str):
-        return lambda ra, rb: cc.root_of((symbol, cc.best[ra], cc.best[rb]))
+        return lambda ra, rb: cc.find(cc.ids[symbol, cc.best[ra], cc.best[rb]])
 
-    return tabulate([cc.root_of(t) for t in cc.representatives()],
-                    op("+"), op("*"), cc.root_of(ZERO), cc.root_of(ONE),
-                    lambda r: cc.key[r][1])
+    return tabulate(map(cc.find, cc.representatives()), op("+"), op("*"),
+                    cc.find(cc.ids[ZERO]), cc.find(cc.ids[ONE]), cc.label)
 
 
 def _collapsed_generators(cc: _CongruenceClosure,
@@ -273,9 +298,9 @@ def _collapsed_generators(cc: _CongruenceClosure,
     """Each generator whose class has a smaller least term, with that term."""
     collapsed = []
     for name in generators:
-        g = ("g", name)
-        if g in cc.ids and cc.best[cc.root_of(g)] != g:
-            collapsed.append((name, cc.key[cc.root_of(g)][1]))
+        g = cc.ids.get(("g", name))
+        if g is not None and cc.best[cc.find(g)] != g:
+            collapsed.append((name, cc.label(g)))
     return tuple(collapsed)
 
 
@@ -306,19 +331,22 @@ def presentation(generators, relations, additively_idempotent: bool = False,
         cc.add(ONE)
         for name in generators:
             cc.add(("g", name))
+        # once merged, the two sides of a relation stay merged
+        sides = []
         for lhs, rhs in relation_terms:
-            cc.assert_eq(lhs, rhs)
+            sides.append((cc.add(lhs), cc.add(rhs)))
+            cc.union(*sides[-1])
+        old: set[int] = set()
         for _ in range(_MAX_ROUNDS):
             cc.added_any = False
             cc.merged_any = False
             reps = cc.representatives()
-            _instantiate_axioms(cc, reps, additively_idempotent)
-            for lhs, rhs in relation_terms:
-                cc.assert_eq(lhs, rhs)
+            _instantiate_axioms(cc, reps, old, additively_idempotent)
+            old = set(reps)
             if not cc.added_any and not cc.merged_any:
                 semiring = _build_table(cc)
-                for lhs, rhs in relation_terms:
-                    if cc.root_of(lhs) != cc.root_of(rhs):
+                for lhs, rhs in sides:
+                    if cc.find(lhs) != cc.find(rhs):
                         raise InternalCheckError(
                             "stabilized closure does not satisfy a relation")
                 return PresentationResult(

@@ -614,6 +614,16 @@ def test_scan_matches_the_theorem_oracle():
             for theorem in THEOREM_IDS}
 
 
+def test_scan_matches_the_theorem_oracle_at_order_5():
+    report = scan([5], include_trivial=True, max_order=5)
+    assert len(report.entries) == 295
+    for entry, S in zip(report.entries, enumerate_semirings(5, 5)):
+        assert entry.flags == scan_flags_brute(S)
+        assert entry.verdicts == {
+            theorem: check_theorem_brute(S, theorem).verdict
+            for theorem in THEOREM_IDS}
+
+
 def test_scan_lists_every_violation(monkeypatch):
     import semirings.ops as ops
 

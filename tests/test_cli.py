@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from semirings import (
     SemiringError,
     boolean_semiring,
     from_preset,
+    make_semiring,
     parse_semiring_file,
     presentation,
     reindex,
@@ -402,6 +404,42 @@ def test_build_to_stdout_is_parseable(capsys):
     assert main(["build", "--preset", "z2x-sq"]) == 0
     document = capsys.readouterr().out
     assert parse_semiring_file(document) == from_preset("z2x-sq")
+
+
+def _cli_process(argv, cwd, **env):
+    """The CLI in a fresh interpreter, with `env` added to the environment."""
+    path = [str(Path(semirings.__file__).parents[1]),
+            *filter(None, [os.environ.get("PYTHONPATH")])]
+    return subprocess.run(
+        [sys.executable, "-m", "semirings.cli", *argv], capture_output=True,
+        cwd=cwd, env={**os.environ, "PYTHONPATH": os.pathsep.join(path), **env})
+
+
+def test_a_stdout_that_cannot_encode_a_clause_name_gets_a_report(tmp_path):
+    argv = ["check", "--preset", "t2b", "--theorem", "additivecom"]
+    # the clause name "Nil \u2286 Z" has no Latin-1 encoding
+    proc = _cli_process(argv, tmp_path, PYTHONIOENCODING="latin-1")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert b"name: Nil \\u2286 Z" in proc.stdout
+    # UTF-8 output is the report itself
+    proc = _cli_process(argv, tmp_path, PYTHONIOENCODING="utf-8")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == emit_report(run(argv)[1]).encode("utf-8")
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    S = boolean_semiring()
+    S = make_semiring(S.add, S.mul, S.zero, S.one, ["0", "\u03b1"])
+    (tmp_path / "alpha.sr").write_text(serialize_semiring(S), "utf-8")
+    env = {"PYTHONUTF8": "0", "LC_ALL": "C"}
+    proc = _cli_process(["build", "--file", "alpha.sr", "--out", "out.sr"],
+                        tmp_path, **env)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert parse_semiring_file((tmp_path / "out.sr").read_text("utf-8")) == S
+    # an ASCII stdout escapes the label
+    proc = _cli_process(["classify", "--file", "alpha.sr"], tmp_path, **env)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert b"\\u03b1" in proc.stdout
 
 
 @pytest.mark.parametrize("argv", [

@@ -271,7 +271,8 @@ def test_matrix_tables_match_the_cell_by_cell_build(name):
 # the presets built through `tabulate`; "peirce:P" is the Peirce factors of P
 TABULATED = ["bool", *(f"zmod:{n}" for n in range(1, 13)), "z2x-sq",
              "z3x-sqm1", "product:bool,zmod:4", "matrix:bool,2",
-             "triangular:zmod:3,2", "bxy-presentation", "peirce:z3x-sqm1",
+             "triangular:zmod:3,2", "triangular:bool,3", "matrix:zmod:3,2",
+             "product:m2z2,bool", "bxy-presentation", "peirce:z3x-sqm1",
              "peirce:zmod:6"]
 
 
@@ -305,5 +306,6 @@ def test_matrix_arithmetic_runs_only_on_generator_rows(monkeypatch):
     assert from_preset("triangular:bool,3").order == n
     assert set(orders) == {2}  # every product is one of the Boolean base
     # The cell-by-cell build makes n^2 matrix products of dim^3 base
-    # products each, 110,592 in all; the generator rows take 25,600.
-    assert len(orders) <= n * n * dim ** 3 // 4
+    # products each, 110,592 in all; the generator rows of * take 3,200,
+    # each evaluated only at the generators of +.
+    assert len(orders) <= 3200

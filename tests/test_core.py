@@ -214,12 +214,15 @@ def test_screened_sweep_matches_the_oracle(name, cells):
     want = axiom_violations(add, mul, S.zero, S.one)
     assert want  # each seeded change here breaks a law
     assert _as_pairs(validate(add, mul, S.zero, S.one)) == want
-    # the screen at every element names exactly the (a, b) of the broken
-    # associative and distributive instances, so the loop over c runs
-    # nowhere else
+    # the rows the screen hands back at every element differ exactly at
+    # the broken associative and distributive instances
     rng = range(S.order)
-    assert set(core._breaks(add, mul, S.order, rng, rng)) == {
-        (a, b) for law, (a, b, c) in want if law in FOUR_LAWS}
+    named = set()
+    for law, a, i, left, right in core._breaks(add, mul, S.order, rng, rng):
+        for j in rng:
+            if left[j] != right[j]:
+                named.add((FOUR_LAWS[law], (a, i, j) if law < 3 else (a, j, i)))
+    assert named == {(law, w) for law, w in want if law in FOUR_LAWS}
 
 
 @pytest.mark.parametrize("name", BUILD_PRESETS)

@@ -73,6 +73,11 @@ PINNED_PRESENTATIONS = {
         "4642ccd4fa3574093f29cd01bd82ffb3f733448b043fa13dccfc86bba38bfa57"),
     "1+1=0": ((), (("1+1", "0"),), False,
         "5ce8c22f3051fe7331a3771e57dc420767002470697370b0f6d144080c0ec3c2"),
+    # the paper's example: its semiring is a + bx + cy, with a, b, c Boolean
+    "x^2=x=xy, y^2=y=yx, + idempotent":
+        (("x", "y"), (("x*x", "x"), ("y*y", "y"), ("x*y", "x"), ("y*x", "y")),
+         True,
+         "da7c028b3a4f55d56c0460a6c89de5702c1b3163ab5417f481b96f73f4bd6a93"),
 }
 
 
