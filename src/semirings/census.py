@@ -21,7 +21,11 @@ The output is the same as keeping the first table of each class from a
 search with no group: values are tried in ascending order, so that first
 table is the least of its class in fill order, which is the leader.  What
 depends only on the addition (the sum index, the endomorphisms and the
-automorphisms among them) is built once per monoid.
+automorphisms among them) is built once per monoid.  A leader is a
+semiring by construction (the preset rows of 0 and one, rows that are
+endomorphisms of the addition, and the associativity and right
+distributivity checks of the fill), so the catalog builds it as a
+`FiniteSemiring` without checking its axioms a second time.
 
 Each class is named by a canonical key, the lexicographically least
 relabeling within the invariant-vector blocks of `FiniteSemiring._blocks`,
@@ -52,7 +56,6 @@ from .core import (
     FiniteSemiring,
     InternalCheckError,
     _walk,
-    make_semiring,
     reindex,
 )
 from .ops import (
@@ -546,7 +549,16 @@ def _catalog(order: int, max_order: int) -> list[bytes]:
     The automorphisms are the endomorphisms that are bijections.  So
     `one` is tried only at the least element of its orbit under Aut(add),
     and the stabiliser of `one` is the group of the leader search: each
-    leader is a class of its own."""
+    leader is a class of its own.
+
+    A leader is built as a `FiniteSemiring` with no second axiom check,
+    being a semiring by construction: `enumerate_commutative_monoids`
+    gives a commutative monoid with identity 0; `_complete_mul_tables`
+    presets the rows and columns of 0 and `one`, so 0 annihilates and
+    `one` is the identity, and takes each row from the endomorphisms of
+    `+`, so * distributes on the left; and `_completions` checks every
+    associativity and right distributivity instance as it fills a cell.
+    The tests hold the representatives to an independent axiom oracle."""
     _check_orders((order,), max_order)
     found: set[bytes] = set()
     identity = tuple(range(order))
@@ -560,7 +572,8 @@ def _catalog(order: int, max_order: int) -> list[bytes]:
             stabiliser = [p for p in aut if p[one] == one]
             for mul in _complete_mul_tables(add, order, one, stabiliser, ends,
                                             sums):
-                key = canonical_form(make_semiring(add, mul, 0, one, None))
+                key = canonical_form(FiniteSemiring(
+                    order, add, mul, 0, one, _GENERIC_LABELS[:order]))
                 if key in found:
                     raise InternalCheckError(
                         "two leaders of the census share a canonical key")

@@ -287,27 +287,21 @@ def _check_structure(add, mul, zero: int, one: int) -> int:
     return n
 
 
-# Below this order the plain sweep is cheaper than finding generators.
-_SWEEP_BELOW = 8
-
-
 def validate(add, mul, zero: int, one: int) -> AxiomReport:
     """Check every semiring axiom, listing all violated instances.
 
     One row screen, `_breaks`, hands back the two sides of an associative
-    or distributive law as whole rows wherever they differ.  From order 8
-    on, it runs at the elements of a generating set, in O(n^2 |G|) steps
-    instead of O(n^3): passing there is a proof that the tables are a
-    semiring (see `_generated_laws_hold`).  Otherwise, and always on
-    smaller carriers, `_sweep` lists every violated instance in the order
-    of the plain O(n^3) loops, reading them off the screen's rows at every
-    element from order 8 on.
+    or distributive law as whole rows wherever they differ.  It first runs
+    at the elements of a generating set, in O(n^2 |G|) steps instead of
+    O(n^3): passing there is a proof that the tables are a semiring (see
+    `_generated_laws_hold`).  Otherwise `_sweep` runs it at every element
+    and lists every violated instance in the order of plain O(n^3) loops.
 
     Structural problems (non-square tables, out-of-range entries) raise
     MalformedTableError instead of being reported as axiom violations.
     """
     n = _check_structure(add, mul, zero, one)
-    if n >= _SWEEP_BELOW and _generated_laws_hold(add, mul, zero, one, n):
+    if _generated_laws_hold(add, mul, zero, one, n):
         return AxiomReport(valid=True, violations=())
     bad = _sweep(add, mul, zero, one, n)
     return AxiomReport(valid=not bad, violations=tuple(bad))
@@ -351,8 +345,13 @@ def _walk(rows, seeds: Iterable[int], n: int):
 def _generators(table, seeds: Iterable[int], n: int) -> list[int]:
     """A generating set of (carrier, table), found greedily by `_walk`:
     every element is a generator or a reached element times a generator
-    on the right.  It is the set whose rows `tabulate` evaluates."""
-    return [g for _, r, g in _walk(table, seeds, n) if r is None]
+    on the right.  After the seeds, candidates come in decreasing order of
+    the size of their row's image, the right ideal xS, ties in index
+    order: on a semilattice-like table the elements high in the order
+    then come first, the rest are reached as their products, and the set
+    stays small."""
+    ranked = sorted(range(n), key=lambda x: len(set(table[x])), reverse=True)
+    return [g for _, r, g in _walk(table, (*seeds, *ranked), n) if r is None]
 
 
 def _rows(table, n: int):
@@ -438,7 +437,9 @@ def _generated_laws_hold(add, mul, zero: int, one: int, n: int) -> bool:
     give (gh)(x+y) = g(hx+hy) = (gh)x+(gh)y, and the same on the right.  A
     closed set holding a generating set is the whole carrier.  So the laws
     in one or two elements are checked in full, then `_breaks` runs at the
-    generators of + and of * up to its first break.
+    generators of + and of * up to its first break.  On the smallest
+    carriers the generators are most of the elements, and this costs
+    about as much as one `_sweep`.
     """
     return (not _short_violations(add, mul, zero, one, n)
             and next(_breaks(add, mul, n, _generators(add, (zero,), n),
@@ -452,7 +453,6 @@ _LAWS = ("add-associativity", "mul-associativity", "left-distributivity",
 def _sweep(add, mul, zero: int, one: int, n: int) -> list[AxiomViolation]:
     """Every violated axiom instance, in the order of direct O(n^3) loops.
 
-    Below order `_SWEEP_BELOW` the loops run as written.  From there on
     `_breaks` runs at every element, and each instance is read off the
     rows it hands back: law 0, 1 or 2 at (a, b) is broken at each c where
     the two rows differ, law 3 at (a, c) at each such b.  Each instance is
@@ -461,35 +461,17 @@ def _sweep(add, mul, zero: int, one: int, n: int) -> list[AxiomViolation]:
     """
     rng = range(n)
     bad = _short_violations(add, mul, zero, one, n)
-    if n >= _SWEEP_BELOW:
-        found: list[int] = []
-        for law, a, i, left, right in _breaks(add, mul, n, rng, rng):
-            # the rows run over c at b = i, or over b at c = i for law 3
-            base, step = (((a * n + i) * n * 4 + law, 4) if law < 3
-                          else ((a * n * n + i) * 4 + law, 4 * n))
-            found.extend(base + step * j
-                         for j in compress(rng, map(ne, left, right)))
-        for key in sorted(found):
-            key, law = divmod(key, 4)
-            key, c = divmod(key, n)
-            bad.append(AxiomViolation(_LAWS[law], (*divmod(key, n), c)))
-        return bad
-    for a in rng:
-        adda, mula = add[a], mul[a]
-        for b in rng:
-            addb, mulb = add[b], mul[b]
-            # rows for (a+b)+c, (ab)c, ab+ac and (a+b)c
-            add_ab, mul_ab = add[adda[b]], mul[mula[b]]
-            add_mab, mul_aab = add[mula[b]], mul[adda[b]]
-            for c in rng:
-                if add_ab[c] != adda[addb[c]]:
-                    bad.append(AxiomViolation(_LAWS[0], (a, b, c)))
-                if mul_ab[c] != mula[mulb[c]]:
-                    bad.append(AxiomViolation(_LAWS[1], (a, b, c)))
-                if mula[addb[c]] != add_mab[mula[c]]:
-                    bad.append(AxiomViolation(_LAWS[2], (a, b, c)))
-                if mul_aab[c] != add[mula[c]][mulb[c]]:
-                    bad.append(AxiomViolation(_LAWS[3], (a, b, c)))
+    found: list[int] = []
+    for law, a, i, left, right in _breaks(add, mul, n, rng, rng):
+        # the rows run over c at b = i, or over b at c = i for law 3
+        base, step = (((a * n + i) * n * 4 + law, 4) if law < 3
+                      else ((a * n * n + i) * 4 + law, 4 * n))
+        found.extend(base + step * j
+                     for j in compress(rng, map(ne, left, right)))
+    for key in sorted(found):
+        key, law = divmod(key, 4)
+        key, c = divmod(key, n)
+        bad.append(AxiomViolation(_LAWS[law], (*divmod(key, n), c)))
     return bad
 
 

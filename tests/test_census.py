@@ -61,6 +61,7 @@ from semirings.ops import (
 
 from oracles import (
     automorphisms_brute,
+    axiom_violations,
     brute_force_semiring_keys,
     canonical_search_brute,
     check_theorem_brute,
@@ -226,6 +227,15 @@ def test_order_five_catalog_is_pinned():
     assert len(keys) == 295
     assert hashlib.sha256(b"".join(keys)).hexdigest() == \
         "0da552b5cf2e51a70aa12faea6db2d51c9c95de1749b8d110015298ab714936d"
+
+
+def test_catalog_representatives_satisfy_every_axiom():
+    # The catalog builds its leaders without checking their axioms, relying
+    # on the construction; the independent oracle checks what it built.
+    representatives = [S for n in range(1, 6) for S in enumerate_semirings(n, 5)]
+    assert len(representatives) == 344
+    for S in representatives:
+        assert axiom_violations(S.add, S.mul, S.zero, S.one) == [], S
 
 
 def test_catalog_refuses_two_leaders_with_one_key(monkeypatch):
