@@ -43,7 +43,7 @@ FIXTURES = fixture_semirings()
 ORACLE_PRESETS = ("bool", "zmod:5", "zmod:6", "zmod:7", "zmod:9", "zmod:32",
                   "t2b", "m2z2", "z2x-sq", "z3x-sqm1", "bxy-presentation",
                   "triangular:zmod:3,2", "product:t2b,zmod:4",
-                  "product:m2z2,bool")
+                  "product:m2z2,bool", "product:bool,bool,bool,bool,bool")
 ORACLE_BASES = st.one_of(
     st.sampled_from([S for n in (2, 3, 4) for S in enumerate_semirings(n)]),
     st.sampled_from([from_preset(name) for name in ORACLE_PRESETS]))
@@ -244,6 +244,14 @@ def test_broken_cell_outside_the_generators_is_found():
     assert _as_pairs(report) == axiom_violations(S.add, mul, S.zero, S.one)
 
 
+@pytest.mark.parametrize("k", range(2, 9))
+def test_boolean_powers_have_small_generating_sets(k):
+    # Index order would take every element of B^k as a generator of *.
+    S = from_preset("product:" + ",".join(["bool"] * k))
+    assert len(core._generators(S.add, (S.zero,), S.order)) <= 2 * k
+    assert len(core._generators(S.mul, (S.zero, S.one), S.order)) <= 2 * k
+
+
 def _maps_of_z3(flip: bool):
     """The nine maps of Z/3 fixing 0, with pointwise sum and composition as
     product.  Composition distributes over sums on one side only, failing
@@ -325,7 +333,8 @@ def test_valid_tables_take_the_fast_path(monkeypatch):
         raise AssertionError("the full sweep ran")
 
     monkeypatch.setattr(core, "_sweep", no_sweep)
-    for S in BUILD_PRESETS.values():
+    small = [S for n in range(1, 5) for S in enumerate_semirings(n)]
+    for S in [*small, zmod(7), *BUILD_PRESETS.values()]:
         assert validate(S.add, S.mul, S.zero, S.one) == AxiomReport(True, ())
 
 
