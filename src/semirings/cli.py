@@ -153,53 +153,44 @@ def _classify_payload(S: FiniteSemiring) -> dict:
 def _classify_symbolic(model) -> dict:
     from .symbolic import NatModel, TripleModel
 
-    if isinstance(model, NatModel):
-        return {
-            "model": "nat",
-            "idempotents": [model.label(u) for u in model.idempotents()],
-            "nilpotents": ["0"],
-            "commutative": model.is_commutative(),
-            "boolean": model.is_boolean(),
+    nat = isinstance(model, NatModel)
+    payload = {
+        "model": "nat" if nat else "nn-triple",
+        "idempotents": [model.label(u) for u in model.idempotents()],
+        "nilpotents": ["0"],
+        "commutative": model.is_commutative(),
+        "boolean": model.is_boolean(),
+    }
+    if nat:
+        return payload | {
             "boolean_counterexample": model.label(model.boolean_counterexample()),
             "additive_certificate_of_5":
                 [model.label(u) for u in model.additive_certificate(
                     type(model.one)(5))],
         }
     assert isinstance(model, TripleModel)
-    xy = model.mul(model.x, model.y)
-    yx = model.mul(model.y, model.x)
     complement = model.complement_to_one(model.x)
-    return {
-        "model": "nn-triple",
-        "idempotents": [model.label(u) for u in model.idempotents()],
-        "nilpotents": ["0"],
-        "commutative": model.is_commutative(),
-        "boolean": model.is_boolean(),
-        "x*y": model.label(xy),
-        "y*x": model.label(yx),
+    return payload | {
+        "x*y": model.label(model.mul(model.x, model.y)),
+        "y*x": model.label(model.mul(model.y, model.x)),
         "complement_of_x_to_one":
             None if complement is None else model.label(complement),
     }
 
 
-def _witness_labels(S: FiniteSemiring, witness) -> list[str] | None:
-    if witness is None:
-        return None
-    return [S.labels[w] for w in witness]
+def _clause_payload(S: FiniteSemiring, checks) -> list[dict]:
+    return [{"name": c.name, "holds": c.holds,
+             "witness": (None if c.witness is None
+                         else [S.labels[w] for w in c.witness])}
+            for c in checks]
 
 
 def _theorem_payload(S: FiniteSemiring, report) -> dict:
     return {
         "theorem": report.theorem,
         "verdict": report.verdict,
-        "hypotheses": [
-            {"name": c.name, "holds": c.holds,
-             "witness": _witness_labels(S, c.witness)}
-            for c in report.hypotheses],
-        "conclusions": [
-            {"name": c.name, "holds": c.holds,
-             "witness": _witness_labels(S, c.witness)}
-            for c in report.conclusions],
+        "hypotheses": _clause_payload(S, report.hypotheses),
+        "conclusions": _clause_payload(S, report.conclusions),
     }
 
 

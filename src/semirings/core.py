@@ -290,21 +290,37 @@ def _check_structure(add, mul, zero: int, one: int) -> int:
 def validate(add, mul, zero: int, one: int) -> AxiomReport:
     """Check every semiring axiom, listing all violated instances.
 
-    One row screen, `_breaks`, hands back the two sides of an associative
-    or distributive law as whole rows wherever they differ.  It first runs
-    at the elements of a generating set, in O(n^2 |G|) steps instead of
-    O(n^3): passing there is a proof that the tables are a semiring (see
-    `_generated_laws_hold`).  Otherwise `_sweep` runs it at every element
-    and lists every violated instance in the order of plain O(n^3) loops.
+    Each table is prepared once by `_rows`.  The laws in one or two
+    elements are checked in full by `_short_violations`.  If none fails,
+    the row screen `_breaks`, which hands back the two sides of an
+    associative or distributive law as whole rows wherever they differ,
+    runs at the generators of + and of * up to its first break, in
+    O(n^2 |G|) steps instead of O(n^3).  Passing there is a proof that
+    the tables are a semiring (Light's test, Clifford & Preston I, 1.2).
+    Call g good for a law if it holds at g for all x, y.  Good sets are
+    closed under the operation: if g, h are good for (xg)y = x(gy), then
+    (x(gh))y = ((xg)h)y = (xg)(hy) = x(g(hy)) = x((gh)y), and likewise for
+    +.  Given associativity, g, h good for g(x+y) = gx+gy give (gh)(x+y) =
+    g(hx+hy) = (gh)x+(gh)y, and the same on the right.  A closed set
+    holding a generating set is the whole carrier.  On the smallest
+    carriers the generators are most of the elements, and the test costs
+    about as much as one `_sweep`.  If anything failed, `_sweep` runs the
+    screen at every element over the same rows and lists every violated
+    instance in the order of plain O(n^3) loops.
 
     Structural problems (non-square tables, out-of-range entries) raise
     MalformedTableError instead of being reported as axiom violations.
     """
     n = _check_structure(add, mul, zero, one)
-    if _generated_laws_hold(add, mul, zero, one, n):
-        return AxiomReport(valid=True, violations=())
-    bad = _sweep(add, mul, zero, one, n)
-    return AxiomReport(valid=not bad, violations=tuple(bad))
+    plus, times = _rows(add, n), _rows(mul, n)
+    short = _short_violations(add, mul, zero, one, n)
+    if not short:
+        light = _breaks(plus, times, n, _generators(plus[0], (zero,), n),
+                        _generators(times[0], (zero, one), n))
+        if next(light, None) is None:
+            return AxiomReport(valid=True, violations=())
+    violations = short + _sweep(plus, times, n)
+    return AxiomReport(valid=not violations, violations=tuple(violations))
 
 
 def _walk(rows, seeds: Iterable[int], n: int):
@@ -394,17 +410,18 @@ def _short_violations(add, mul, zero: int, one: int, n: int) -> list:
     return bad
 
 
-def _breaks(add, mul, n: int, add_at, mul_at):
-    """The breaks of the four laws, as (law, a, b, left, right): `left` and
-    `right` are the rows over c of the two sides of law 0, (a+b)+c =
-    a+(b+c), for b in `add_at`, of law 1, (ab)c = a(bc), for b in
-    `mul_at`, and of law 2, a(b+c) = ab+ac, for a in `mul_at`, whenever
-    they differ.  Law 3, (a+b)c = ac+bc, for c in `mul_at`, is compared
-    over b, from the columns of *, and yields (3, a, c, left, right).
-    Each side is a row composed by `_rows`.  Lazy, so a caller can stop at
-    the first break."""
-    add, add_data, at_add = _rows(add, n)
-    mul, mul_data, at_mul = _rows(mul, n)
+def _breaks(plus, times, n: int, add_at, mul_at):
+    """The breaks of the four laws, as (law, a, b, left, right), over the
+    tables of + and * prepared by `_rows`: `left` and `right` are the rows
+    over c of the two sides of law 0, (a+b)+c = a+(b+c), for b in
+    `add_at`, of law 1, (ab)c = a(bc), for b in `mul_at`, and of law 2,
+    a(b+c) = ab+ac, for a in `mul_at`, whenever they differ.  Law 3,
+    (a+b)c = ac+bc, for c in `mul_at`, is compared over b, from the
+    columns of *, and yields (3, a, c, left, right).  Each side is a row
+    composed as `_rows` says.  Lazy, so a caller can stop at the first
+    break."""
+    add, add_data, at_add = plus
+    mul, mul_data, at_mul = times
     add_at, mul_at = set(add_at), set(mul_at)
     rows = list(zip(range(n), add, add_data, mul, mul_data, at_add))
     for k in sorted(add_at.union(mul_at)):
@@ -427,31 +444,13 @@ def _breaks(add, mul, n: int, add_at, mul_at):
                 yield 3, a, c, left, right
 
 
-def _generated_laws_hold(add, mul, zero: int, one: int, n: int) -> bool:
-    """True only if the tables form a semiring; False means "sweep".
-
-    Call g good for a law if it holds at g for all x, y.  Good sets are
-    closed under the operation (Light's test): if g, h are good for
-    (xg)y = x(gy), then (x(gh))y = ((xg)h)y = (xg)(hy) = x(g(hy)) = x((gh)y),
-    and likewise for +.  Given associativity, g, h good for g(x+y) = gx+gy
-    give (gh)(x+y) = g(hx+hy) = (gh)x+(gh)y, and the same on the right.  A
-    closed set holding a generating set is the whole carrier.  So the laws
-    in one or two elements are checked in full, then `_breaks` runs at the
-    generators of + and of * up to its first break.  On the smallest
-    carriers the generators are most of the elements, and this costs
-    about as much as one `_sweep`.
-    """
-    return (not _short_violations(add, mul, zero, one, n)
-            and next(_breaks(add, mul, n, _generators(add, (zero,), n),
-                             _generators(mul, (zero, one), n)), None) is None)
-
-
 _LAWS = ("add-associativity", "mul-associativity", "left-distributivity",
          "right-distributivity")
 
 
-def _sweep(add, mul, zero: int, one: int, n: int) -> list[AxiomViolation]:
-    """Every violated axiom instance, in the order of direct O(n^3) loops.
+def _sweep(plus, times, n: int) -> list[AxiomViolation]:
+    """Every violated instance of the four laws of `_breaks`, over the
+    tables prepared by `_rows`, in the order of direct O(n^3) loops.
 
     `_breaks` runs at every element, and each instance is read off the
     rows it hands back: law 0, 1 or 2 at (a, b) is broken at each c where
@@ -460,9 +459,9 @@ def _sweep(add, mul, zero: int, one: int, n: int) -> list[AxiomViolation]:
     the loops.
     """
     rng = range(n)
-    bad = _short_violations(add, mul, zero, one, n)
+    bad: list[AxiomViolation] = []
     found: list[int] = []
-    for law, a, i, left, right in _breaks(add, mul, n, rng, rng):
+    for law, a, i, left, right in _breaks(plus, times, n, rng, rng):
         # the rows run over c at b = i, or over b at c = i for law 3
         base, step = (((a * n + i) * n * 4 + law, 4) if law < 3
                       else ((a * n * n + i) * 4 + law, 4 * n))

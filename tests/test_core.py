@@ -216,7 +216,8 @@ def test_screened_sweep_matches_the_oracle(name, cells):
     # the broken associative and distributive instances
     rng = range(S.order)
     named = set()
-    for law, a, i, left, right in core._breaks(add, mul, S.order, rng, rng):
+    plus, times = core._rows(add, S.order), core._rows(mul, S.order)
+    for law, a, i, left, right in core._breaks(plus, times, S.order, rng, rng):
         for j in rng:
             if left[j] != right[j]:
                 named.add((FOUR_LAWS[law], (a, i, j) if law < 3 else (a, j, i)))
@@ -226,9 +227,44 @@ def test_screened_sweep_matches_the_oracle(name, cells):
 @pytest.mark.parametrize("name", BUILD_PRESETS)
 def test_screened_sweep_passes_valid_tables(name):
     S = BUILD_PRESETS[name]
-    assert core._sweep(S.add, S.mul, S.zero, S.one, S.order) == []
-    assert core._sweep([list(row) for row in S.add], S.mul, S.zero, S.one,
-                       S.order) == []
+    n = S.order
+    assert core._sweep(core._rows(S.add, n), core._rows(S.mul, n), n) == []
+    assert core._sweep(core._rows([list(row) for row in S.add], n),
+                       core._rows(S.mul, n), n) == []
+
+
+@pytest.mark.parametrize("cell", [
+    ("mul", 3, 5),  # passes the short laws, fails Light's test
+    ("add", 0, 3),  # fails the additive identity law
+])
+def test_validate_prepares_each_table_once(cell, monkeypatch):
+    S = zmod(16)
+    tables = {"add": [list(row) for row in S.add],
+              "mul": [list(row) for row in S.mul]}
+    name, i, j = cell
+    tables[name][i][j] = (tables[name][i][j] + 1) % S.order
+    add, mul = tables["add"], tables["mul"]
+    assert (not core._short_violations(add, mul, S.zero, S.one, S.order)
+            ) == (name == "mul")
+    prepared, short = [], []
+    rows, short_violations = core._rows, core._short_violations
+
+    def counting_rows(table, n):
+        prepared.append(table)
+        return rows(table, n)
+
+    def counting_short_violations(*args):
+        short.append(args)
+        return short_violations(*args)
+
+    monkeypatch.setattr(core, "_rows", counting_rows)
+    monkeypatch.setattr(core, "_short_violations", counting_short_violations)
+    report = validate(add, mul, S.zero, S.one)
+    want = axiom_violations(add, mul, S.zero, S.one)
+    assert want and _as_pairs(report) == want
+    assert [t is add for t in prepared].count(True) == 1
+    assert [t is mul for t in prepared].count(True) == 1
+    assert len(short) == 1
 
 
 def test_broken_cell_outside_the_generators_is_found():

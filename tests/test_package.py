@@ -1,6 +1,8 @@
-"""The package namespace: `import semirings` loads no submodule, and every
-public name resolves, on first use, to the object its submodule defines."""
+"""The package namespace: `import semirings` loads no submodule, every
+public name resolves, on first use, to the object its submodule defines,
+and the package imports nothing outside the standard library."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -114,3 +116,20 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
         semirings.frobnicate
     assert not hasattr(semirings, "ParseErrors")
+
+
+def test_runtime_imports_only_the_standard_library():
+    package = Path(semirings.__file__).parent
+    allowed = sys.stdlib_module_names | {"semirings"}
+    outside = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:  # not an import, or relative: inside the package
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert outside == []
