@@ -307,18 +307,16 @@ def _leader_step(t, live, k: int):
     cell that p carries onto it, and pos the first position where p's
     comparison is open.  Every position before pos is set and reads the
     same under p, and positions are set in order, so the walk resumes at
-    pos: an image cell that is free leaves the comparison open there; an
-    image that reads larger than the set table cell makes p.c larger for
-    every completion c, and p is dropped; one that reads smaller makes p.c
-    smaller for every completion, so the subtree holds no leader.  A
-    relabeling that reads the same at every position fixes the table and
-    is dropped too."""
+    pos, which is at most k (`_walks` opens every entry at 0, and a step
+    to k - 1 passes on only entries open at k or before): an image cell
+    that is free leaves the comparison open there; an image that reads
+    larger than the set table cell makes p.c larger for every completion
+    c, and p is dropped; one that reads smaller makes p.c smaller for
+    every completion, so the subtree holds no leader.  A relabeling that
+    reads the same at every position fixes the table and is dropped
+    too."""
     out = []
-    for entry in live:
-        p, walk, pos = entry
-        if pos > k:
-            out.append(entry)
-            continue
+    for p, walk, pos in live:
         while pos <= k:
             a, b, i, j = walk[pos]
             x = t[a][b]

@@ -189,9 +189,9 @@ def orthogonal_complement(S: FiniteSemiring, e: int) -> ComplementWitness | None
 def _nilorth_candidates(S: FiniteSemiring, e: int):
     classes = element_classes(S)
     for f in classes.nilidempotents:
+        # fe is nilpotent whenever ef is: (ef)^k = 0 gives
+        # (fe)^(k+1) = f (ef)^k e = 0, so ef alone decides
         if S.times(e, f) not in classes.nilpotents:
-            continue
-        if S.times(f, e) not in classes.nilpotents:
             continue
         ef_sum = S.plus(e, f)
         for x in classes.nilpotents:

@@ -1,22 +1,25 @@
 """Finitely presented semirings via congruence closure.
 
 Elements of the quotient are classes of terms built from the generators,
-0 and 1 by + and *.  The defining relations are asserted once, then each
-round instantiates the semiring axioms (and additive idempotency when
-requested) over one representative per class, and ground congruence
-closure merges, over hash-consed term nodes (Downey, Sethi & Tarjan,
-"Variations on the common subexpression problem", J. ACM 27(4), 1980).
-An instance over representatives that were all representatives in the
-round before was asserted then, so a round asserts only the others.  The
-run ends when a round changes nothing, or when the number of live
-classes passes the configured bound.  A finished table is validated and
-the relations are re-checked against it, so a "finite" answer is exact:
-any incompleteness would surface as a failed check, never as a wrong
-table.
+0 and 1 by + and *.  A relation's sides are read by `parse_term`, whose
+tokens come from one regular expression, and a class is labelled by its
+least term, rendered as its nodes are added (`_CongruenceClosure.node`).
+The defining relations are asserted once, then each round instantiates
+the semiring axioms (and additive idempotency when requested) over one
+representative per class, and ground congruence closure merges, over
+hash-consed term nodes (Downey, Sethi & Tarjan, "Variations on the
+common subexpression problem", J. ACM 27(4), 1980).  An instance over
+representatives that were all representatives in the round before was
+asserted then, so a round asserts only the others.  The run ends when a
+round changes nothing, or when the number of live classes passes the
+configured bound.  A finished table is validated and the relations are
+re-checked against it, so a "finite" answer is exact: any incompleteness
+would surface as a failed check, never as a wrong table.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .core import (
@@ -34,6 +37,10 @@ Term = tuple  # ("0",), ("1",), ("g", name), ("+", l, r), ("*", l, r)
 ZERO: Term = ("0",)
 ONE: Term = ("1",)
 
+# A token is a word (\w is exactly isalnum() or "_") or one of +*();
+# whitespace separates tokens, and any other character is refused.
+_TOKEN = re.compile(r"(\w+|[+*()])|(\S)")
+
 
 @dataclass(frozen=True)
 class PresentationResult:
@@ -47,41 +54,13 @@ class _BoundExceeded(Exception):
     pass
 
 
-def render_term(t: Term) -> str:
-    """Compact infix form; products parenthesize sum operands."""
-    if t[0] == "0":
-        return "0"
-    if t[0] == "1":
-        return "1"
-    if t[0] == "g":
-        return t[1]
-    if t[0] == "+":
-        return f"{render_term(t[1])}+{render_term(t[2])}"
-    def wrap(u: Term) -> str:
-        s = render_term(u)
-        return f"({s})" if u[0] == "+" else s
-    return f"{wrap(t[1])}*{wrap(t[2])}"
-
-
 def parse_term(text: str, generators: tuple[str, ...]) -> Term:
     """Parse '0', '1', generator names, +, * and parentheses; * binds tighter."""
-    tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+*()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isalnum() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise DomainError(f"unexpected character {ch!r} in term {text!r}")
+    tokens = []
+    for tok, refused in _TOKEN.findall(text):
+        if refused:
+            raise DomainError(f"unexpected character {refused!r} in term {text!r}")
+        tokens.append(tok)
     pos = 0
 
     def peek() -> str | None:
@@ -152,8 +131,7 @@ class _CongruenceClosure:
         self.sig: dict[tuple, int] = {}      # (op, root_l, root_r) -> exemplar
         self.uses: dict[int, list[int]] = {}  # root -> compound ids over it
         self.n_classes = 0
-        self.added_any = False
-        self.merged_any = False
+        self.changed = False  # a node added or two classes merged
 
     def find(self, i: int) -> int:
         parent = self.parent
@@ -166,8 +144,8 @@ class _CongruenceClosure:
         """The id of term t, adding the nodes it is built from."""
         if t[0] in ("+", "*"):
             return self.node(t[0], self.add(t[1]), self.add(t[2]))
-        known = self.ids.get(t)
-        return self._new(t, (1, render_term(t))) if known is None else known
+        known = self.ids.get(t)  # a leaf renders as its last field
+        return self._new(t, (1, t[-1])) if known is None else known
 
     def node(self, op: str, left: int, right: int) -> int:
         """The id of the compound node (op, left, right)."""
@@ -176,7 +154,8 @@ class _CongruenceClosure:
             return known
         (lsize, ltext), (rsize, rtext) = (self.term_keys[left],
                                           self.term_keys[right])
-        if op == "*":  # as render_term: products wrap sum operands
+        # the one place terms are rendered: products wrap sum operands
+        if op == "*":
             ltext = f"({ltext})" if self.nodes[left][0] == "+" else ltext
             rtext = f"({rtext})" if self.nodes[right][0] == "+" else rtext
         i = self._new((op, left, right),
@@ -202,7 +181,7 @@ class _CongruenceClosure:
         self.best.append(i)
         self.uses[i] = []
         self.n_classes += 1
-        self.added_any = True
+        self.changed = True
         if self.n_classes > self.class_bound:
             raise _BoundExceeded
         return i
@@ -223,7 +202,7 @@ class _CongruenceClosure:
             if keys[self.best[rv]] < keys[self.best[ru]]:  # a tie keeps ru's
                 self.best[ru] = self.best[rv]
             self.n_classes -= 1
-            self.merged_any = True
+            self.changed = True
             moved = self.uses.pop(rv, [])
             for cid in moved:
                 op, left, right = self.nodes[cid]
@@ -338,12 +317,11 @@ def presentation(generators, relations, additively_idempotent: bool = False,
             cc.union(*sides[-1])
         old: set[int] = set()
         for _ in range(_MAX_ROUNDS):
-            cc.added_any = False
-            cc.merged_any = False
+            cc.changed = False
             reps = cc.representatives()
             _instantiate_axioms(cc, reps, old, additively_idempotent)
             old = set(reps)
-            if not cc.added_any and not cc.merged_any:
+            if not cc.changed:
                 semiring = _build_table(cc)
                 for lhs, rhs in sides:
                     if cc.find(lhs) != cc.find(rhs):

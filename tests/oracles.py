@@ -791,6 +791,31 @@ def expand_triple_product(u: tuple[int, int, int],
     return (out[""], out["x"], out["y"])
 
 
+def term_tokens_brute(text: str) -> list[str]:
+    """The tokens of a presentation term, character by character: a run
+    of characters with isalnum() or "_" is one token, each of +*() is
+    one, and whitespace only separates.  Raises ValueError(ch) at the
+    first other character."""
+    tokens: list[str] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "+*()":
+            tokens.append(ch)
+            i += 1
+        elif ch.isalnum() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+        else:
+            raise ValueError(ch)
+    return tokens
+
+
 def fixture_semirings() -> list[tuple[str, FiniteSemiring]]:
     return [
         ("bool", boolean_semiring()),

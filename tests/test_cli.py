@@ -300,6 +300,18 @@ def test_classify_symbolic_models():
     assert report["result"]["boolean_counterexample"] == "2"
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["closure", "--preset", "nat"], "symbolic models support only 'classify'"),
+    (["validate", "--preset", "nat"], "symbolic models have no finite tables"),
+    (["iso", "--preset", "bool", "--preset", "nat"],
+     "iso requires finite semirings"),
+], ids=["closure", "validate", "iso"])
+def test_symbolic_models_outside_classify_are_errors(argv, error):
+    code, report = run(argv)
+    assert code == 1 and report["verdict"] == "error"
+    assert report["result"] == {"error": error, "kind": "DomainError"}
+
+
 def test_lift_command_shows_single_step():
     code, report = run(["lift", "--preset", "z2x-sq", "--element", "1+x"])
     assert code == 0

@@ -472,6 +472,12 @@ def test_make_semiring_rejects_duplicate_labels():
         make_semiring(((0, 1), (1, 1)), ((0, 0), (0, 1)), 0, 1, ("0", "0"))
 
 
+def test_make_semiring_rejects_a_label_count_other_than_the_order():
+    with pytest.raises(MalformedTableError) as err:
+        make_semiring(zmod(2).add, zmod(2).mul, 0, 1, ("0", "1", "2"))
+    assert str(err.value) == "3 labels for order 2"
+
+
 # ---------------------------------------------------------- element classes
 
 def test_classes_are_computed_once(t2b):

@@ -94,6 +94,12 @@ def test_closure_rejects_empty_generators(bool_sr):
         mult_closure(bool_sr, ElementSet.empty(bool_sr.order))
 
 
+def test_closure_rejects_a_set_over_another_carrier(bool_sr):
+    with pytest.raises(DomainError) as err:
+        mult_closure(bool_sr, ElementSet.of([0], 3))
+    assert str(err.value) == "generator set indexes a different carrier"
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_closure_laws_on_random_subsets(data):
@@ -145,6 +151,12 @@ def test_generation_expressions_reevaluate(name, S, mode):
 def test_generation_rejects_unknown_mode(bool_sr):
     with pytest.raises(DomainError):
         generation_certificate(bool_sr, "sideways", GEN_IDEMPOTENTS)
+
+
+def test_generation_rejects_unknown_generator_class(bool_sr):
+    with pytest.raises(DomainError) as err:
+        generation_certificate(bool_sr, MODE_MULT, "units")
+    assert str(err.value) == "unknown generator class 'units'"
 
 
 # ------------------------------------------------------------ complements
@@ -225,6 +237,12 @@ def test_decompositions_of_identity_matrix(t2b):
 def test_decompositions_stop_at_the_idempotent_count():
     # longer sets of distinct nonzero idempotents do not exist
     assert orthogonal_decompositions(zmod(6), 1, 10**9) == [(1,), (3, 4)]
+
+
+def test_decompositions_reject_a_max_len_below_one(z3x):
+    with pytest.raises(DomainError) as err:
+        orthogonal_decompositions(z3x, z3x.one, 0)
+    assert str(err.value) == "max_len must be at least 1"
 
 
 def test_decompositions_members_verify(z3x):

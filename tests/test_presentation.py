@@ -1,4 +1,8 @@
+import string
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semirings import (
     DomainError,
@@ -6,7 +10,9 @@ from semirings import (
     presentation,
     zmod,
 )
-from semirings.presentation import parse_term, render_term
+from semirings.presentation import parse_term
+
+from oracles import term_tokens_brute
 
 BXY_RELATIONS = [("x+y", "0"), ("x*y", "0"), ("y*x", "0"),
                  ("x*x", "0"), ("y*y", "0")]
@@ -107,7 +113,10 @@ def test_parse_term_shapes():
         ("+", ("g", "x"), ("*", ("g", "y"), ("g", "x")))
     assert parse_term("(x+y)*x", gens) == \
         ("*", ("+", ("g", "x"), ("g", "y")), ("g", "x"))
-    assert render_term(parse_term("(x+y)*x", gens)) == "(x+y)*x"
+    # labels render products with their sum operands in parentheses
+    labels = presentation(("x",), [("x*x*x", "x")],
+                          additively_idempotent=True).semiring.labels
+    assert "(1+x)*x" in labels and "(1+x)*(1+x)" in labels
 
 
 def test_parse_term_errors():
@@ -119,3 +128,38 @@ def test_parse_term_errors():
         parse_term("x)", ("x",))
     with pytest.raises(DomainError):
         parse_term("x ? y", ("x", "y"))
+
+
+def test_unclosed_parenthesis_names_the_token_found():
+    with pytest.raises(DomainError) as err:
+        parse_term("(x y", ("x", "y"))
+    assert str(err.value) == "expected ')', got 'y' in '(x y'"
+
+
+def test_unicode_whitespace_separates_tokens():
+    assert parse_term("x\u00a0+\u2003y", ("x", "y")) == \
+        parse_term("x+y", ("x", "y"))
+
+
+# letters, digits, whitespace and marks from outside ASCII, and two
+# characters that no term may hold
+TERM_ALPHABET = (string.ascii_letters + string.digits + "_+*() \t"
+                 + "\u00a0\u2003\u00b2\u0663\u00e9\u0301?-")
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.text(TERM_ALPHABET, max_size=12))
+def test_parse_term_refuses_what_the_character_scan_refuses(text):
+    try:
+        term_tokens_brute(text)
+    except ValueError as refused:
+        ch = refused.args[0]
+        with pytest.raises(DomainError) as err:
+            parse_term(text, ("x", "y"))
+        assert str(err.value) == \
+            f"unexpected character {ch!r} in term {text!r}"
+        return
+    try:
+        parse_term(text, ("x", "y"))
+    except DomainError as err:
+        assert "unexpected character" not in str(err)
